@@ -1,11 +1,11 @@
-"""Driver-level studies: convergence table and benchmark rows.
+"""Driver-level study: the integrator convergence table.
 
-Runs the same studies the command line exposes (modes `convergence` and
-`bench`) at a small desk scale and prints the plot-ready rows.
+Runs the same study the command line exposes (mode `convergence`) at a
+small desk scale and prints the plot-ready rows.  Timings of the engines
+come from the benchmark: `python3 perfbench/run.py`.
 """
 
 import cmbproj as cp
-from cmbproj.harness import run_bench
 
 
 def main():
@@ -21,12 +21,6 @@ def main():
           "the unit-normalised matrix RMSE sits at rounding level; the "
           "scalar-integral ladder in demos/integrators.py carries the "
           "resolution trend")
-
-    print("\nbenchmark rows:")
-    bcfg = cp.RunConfig(mode="bench", l_min=2, l_max=32, p_max=3,
-                        mu_points=50, bench_repeats=1)
-    for r in run_bench(bcfg, naive_cells=4):
-        print("  " + ", ".join(f"{k}={v}" for k, v in r.items()))
 
 
 if __name__ == "__main__":

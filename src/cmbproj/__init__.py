@@ -2,7 +2,7 @@
 bispectrum bases: exact and approximate geometric weights on the sparse
 triangular multipole domain, a separable (mu-quadrature) engine and a
 direct (triple-sum) engine, with naive oracles, deterministic parallel
-sweeps and a validation/benchmark harness.
+sweeps and a validation harness.
 """
 
 from .basis import (BasisTables, ModeMapping, RadialGrid,
@@ -19,7 +19,7 @@ from .geometry import (TriangularDomain, enumerate_domain,
                        geometric_prefactor, h2_exact, h2_gosper,
                        permutation_multiplicity, theta_indicator)
 from .harness import (ComparisonReport, RunConfig, deserialize_gamma,
-                      max_rel_deviation, rmse_percent, run_bench,
+                      max_rel_deviation, rmse_percent,
                       run_convergence_study, run_crosscheck, run_gamma,
                       serialize_gamma)
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_hermite,

@@ -9,22 +9,42 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 from .basis import BasisFormatError, MappingFormatError
-from .harness import (ConfigError, GammaFormatError, RunConfig,
-                      run_bench, run_convergence_study, run_crosscheck,
-                      run_gamma, serialize_gamma, write_rows_csv)
+from .harness import (FORMATS, H2_MODES, INTEGRATOR_NAMES, MODES,
+                      ConfigError, GammaFormatError, RunConfig,
+                      run_convergence_study, run_crosscheck, run_gamma,
+                      serialize_gamma, write_rows_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_CONFIG_KEYS = {
-    "mode": str, "lmin": int, "lmax": int, "pmax": int, "mapping": str,
-    "r-samples": int, "integrator": str, "h2": str, "mu-points": int,
-    "block": int, "workers": int, "out": str, "format": str,
-    "bench-repeats": int,
+
+class _Key(NamedTuple):
+    field: str                      # RunConfig attribute
+    type: type = str
+    choices: tuple | None = None
+    help: str | None = None
+
+
+# Every run setting: the config-file key is the flag name without "--".
+_KEYS = {
+    "mode": _Key("mode", choices=MODES),
+    "lmin": _Key("l_min", int),
+    "lmax": _Key("l_max", int),
+    "pmax": _Key("p_max", int),
+    "mapping": _Key("mapping", help="'default' or a modalmap v1 file path"),
+    "r-samples": _Key("r_samples", int),
+    "integrator": _Key("integrator", choices=INTEGRATOR_NAMES),
+    "h2": _Key("h2_mode", choices=H2_MODES),
+    "mu-points": _Key("mu_points", int),
+    "block": _Key("block", int),
+    "workers": _Key("workers", int),
+    "out": _Key("out"),
+    "format": _Key("fmt", choices=FORMATS),
 }
 
 
@@ -39,10 +59,10 @@ def _parse_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, raw = s.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _CONFIG_KEYS[key](raw.strip())
+                values[key] = _KEYS[key].type(raw.strip())
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}:{lineno}: bad value for {key!r}") from exc
@@ -54,51 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cmbproj",
         description="Projection-matrix computation between primordial and "
                     "late-time bispectrum bases.")
-    p.add_argument("--mode", choices=["gamma2d", "gamma3d", "crosscheck",
-                                      "convergence", "bench"])
-    p.add_argument("--lmin", type=int)
-    p.add_argument("--lmax", type=int)
-    p.add_argument("--pmax", type=int)
-    p.add_argument("--mapping", help="'default' or a modalmap v1 file path")
-    p.add_argument("--r-samples", type=int, dest="r_samples")
-    p.add_argument("--integrator", choices=["trap", "hermite", "spline"])
-    p.add_argument("--h2", choices=["gosper", "exact"])
-    p.add_argument("--mu-points", type=int, dest="mu_points")
-    p.add_argument("--block", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "bin"], dest="fmt")
-    p.add_argument("--bench-repeats", type=int, dest="bench_repeats")
+    for key, spec in _KEYS.items():
+        p.add_argument(f"--{key}", type=spec.type, choices=spec.choices,
+                       help=spec.help)
     p.add_argument("--config", help="key=value config file; flags override")
     return p
-
-
-_FILE_TO_FIELD = {
-    "mode": "mode", "lmin": "l_min", "lmax": "l_max", "pmax": "p_max",
-    "mapping": "mapping", "r-samples": "r_samples",
-    "integrator": "integrator", "h2": "h2_mode", "mu-points": "mu_points",
-    "block": "block", "workers": "workers", "out": "out", "format": "fmt",
-    "bench-repeats": "bench_repeats",
-}
-
-_ARG_TO_FIELD = {
-    "mode": "mode", "lmin": "l_min", "lmax": "l_max", "pmax": "p_max",
-    "mapping": "mapping", "r_samples": "r_samples",
-    "integrator": "integrator", "h2": "h2_mode", "mu_points": "mu_points",
-    "block": "block", "workers": "workers", "out": "out", "fmt": "fmt",
-    "bench_repeats": "bench_repeats",
-}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
     if args.config:
         for key, value in _parse_config_file(args.config).items():
-            setattr(config, _FILE_TO_FIELD[key], value)
-    for arg, fld in _ARG_TO_FIELD.items():
-        value = getattr(args, arg)
+            setattr(config, _KEYS[key].field, value)
+    for key, spec in _KEYS.items():
+        value = getattr(args, key.replace("-", "_"))
         if value is not None:
-            setattr(config, fld, value)
+            setattr(config, spec.field, value)
     return config.validate()
 
 
@@ -131,9 +122,6 @@ def main(argv=None) -> int:
                 print(line)
         elif config.mode == "convergence":
             rows = run_convergence_study(config)
-            _emit_rows(rows, config)
-        elif config.mode == "bench":
-            rows = run_bench(config)
             _emit_rows(rows, config)
         return EXIT_OK
     except (ConfigError, MappingFormatError) as exc:

@@ -19,12 +19,13 @@ from multiprocessing import get_context
 import numpy as np
 
 from .basis import BasisTables, ModeMapping, RadialGrid
-from .gamma import GammaMatrix
+from .gamma import GammaMatrix, _base_meta
 from .quadrature import QuadratureRule, integration_weights
 from .scheduler import make_plan
 
 __all__ = [
     "PTable",
+    "min_mu_points",
     "default_mu_points",
     "build_ptable",
     "gamma2d_entry",
@@ -37,8 +38,13 @@ DEFAULT_PTABLE_BUDGET = 2 << 30   # bytes
 
 # The mu integrand is a product of three Legendre expansions of degree
 # <= l_max, so an n-node rule with 2n-1 >= 3*l_max is exact.
+def min_mu_points(l_max: int) -> int:
+    """Fewest Gauss-Legendre nodes that integrate the mu product exactly."""
+    return math.ceil((3 * l_max + 1) / 2)
+
+
 def default_mu_points(l_max: int) -> int:
-    return math.ceil((3 * l_max + 1) / 2) + 2
+    return min_mu_points(l_max) + 2
 
 
 def _l_weight(tables: BasisTables) -> np.ndarray:
@@ -93,9 +99,6 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
         comp = (t - acc) - y
         acc = t
     return PTable(acc)
-
-
-_PERMS3 = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
 def _permanent3(m):
@@ -153,23 +156,6 @@ def gamma2d_entry_naive(n: int, n_prime: int, tables: BasisTables,
         inner[x] = per @ rule.weights
     w = integration_weights(grid.r, integrator)
     return float((grid.r**2 * inner) @ w / (48.0 * np.pi))
-
-
-def _base_meta(tables, grid, mapping, engine, integrator, extra=None):
-    meta = {
-        "engine": engine,
-        "l_min": tables.l_min,
-        "l_max": tables.l_max,
-        "p_max": tables.p_max,
-        "n_max": mapping.n_max,
-        "integrator": integrator,
-        "tables": tables.fingerprint(),
-        "grid": grid.fingerprint(),
-        "mapping": mapping.fingerprint(),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _cells_chunk(args):

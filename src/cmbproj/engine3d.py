@@ -18,9 +18,10 @@ from multiprocessing import get_context
 import numpy as np
 
 from .basis import BasisTables, ModeMapping, RadialGrid
-from .gamma import GammaMatrix
-from .geometry import (TriangularDomain, enumerate_domain, geometric_prefactor,
-                       h2_exact, permutation_multiplicity, theta_indicator)
+from .gamma import GammaMatrix, _base_meta
+from .geometry import (TriangularDomain, _z_denominator, enumerate_domain,
+                       geometric_prefactor, h2_exact, permutation_multiplicity,
+                       theta_indicator)
 from .quadrature import INTEGRATORS, integration_weights
 from .scheduler import make_plan, merge_partials
 
@@ -44,12 +45,8 @@ def _triple_z(tables: BasisTables, l1, l2, l3, h2_mode: str):
         return geometric_prefactor(l1, l2, l3, tables.C, tables.v,
                                    l_min=tables.l_min)
     if h2_mode == "exact":
-        i1 = np.asarray(l1) - tables.l_min
-        i2 = np.asarray(l2) - tables.l_min
-        i3 = np.asarray(l3) - tables.l_min
-        v, C = tables.v, tables.C
-        denom = 36.0 * v[i1] * v[i2] * v[i3] * np.sqrt(C[i1] * C[i2] * C[i3])
-        return h2_exact(l1, l2, l3) / denom
+        return h2_exact(l1, l2, l3) / _z_denominator(
+            l1, l2, l3, tables.C, tables.v, tables.l_min)
     raise ValueError(f"unknown h2_mode {h2_mode!r}")
 
 
@@ -134,23 +131,6 @@ def _sweep_chunk(args):
         zm = _triple_z(tables, l1, l2, l3, h2_mode) * mult
         _block_accumulate(gamma, tables, mapping, wr2, l1, l2, l3, zm)
     return gamma
-
-
-def _base_meta(tables, grid, mapping, engine, integrator, extra=None):
-    meta = {
-        "engine": engine,
-        "l_min": tables.l_min,
-        "l_max": tables.l_max,
-        "p_max": tables.p_max,
-        "n_max": mapping.n_max,
-        "integrator": integrator,
-        "tables": tables.fingerprint(),
-        "grid": grid.fingerprint(),
-        "mapping": mapping.fingerprint(),
-    }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def gamma3d_matrix(tables: BasisTables, mapping: ModeMapping,

@@ -35,3 +35,21 @@ class GammaMatrix:
         keys = ("tables", "grid", "mapping")
         return self.shape == other.shape and all(
             self.meta.get(k) == other.meta.get(k) for k in keys)
+
+
+def _base_meta(tables, grid, mapping, engine, integrator, extra=None):
+    """Provenance ``meta`` shared by every engine and oracle."""
+    meta = {
+        "engine": engine,
+        "l_min": tables.l_min,
+        "l_max": tables.l_max,
+        "p_max": tables.p_max,
+        "n_max": mapping.n_max,
+        "integrator": integrator,
+        "tables": tables.fingerprint(),
+        "grid": grid.fingerprint(),
+        "mapping": mapping.fingerprint(),
+    }
+    if extra:
+        meta.update(extra)
+    return meta

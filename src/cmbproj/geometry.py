@@ -134,12 +134,17 @@ def geometric_prefactor(l1, l2, l3, C, v, l_min=0):
     v = np.asarray(v, dtype=np.float64)
     if np.any(C <= 0):
         raise ValueError("power spectrum C_l must be strictly positive")
+    out = h2_gosper(l1, l2, l3) / _z_denominator(l1, l2, l3, C, v, l_min)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _z_denominator(l1, l2, l3, C, v, l_min):
+    """36 v1 v2 v3 sqrt(C1 C2 C3), the per-triple normalisation that turns
+    a geometric weight h^2 into the prefactor z."""
     i1 = np.asarray(l1) - l_min
     i2 = np.asarray(l2) - l_min
     i3 = np.asarray(l3) - l_min
-    denom = 36.0 * v[i1] * v[i2] * v[i3] * np.sqrt(C[i1] * C[i2] * C[i3])
-    out = h2_gosper(l1, l2, l3) / denom
-    return float(out) if np.ndim(out) == 0 else out
+    return 36.0 * v[i1] * v[i2] * v[i3] * np.sqrt(C[i1] * C[i2] * C[i3])
 
 
 class TriangularDomain:
@@ -182,10 +187,6 @@ class TriangularDomain:
     def triple(self, index: int) -> tuple[int, int, int]:
         """Ordered triple at a global flattened index."""
         return int(self.l1[index]), int(self.l2[index]), int(self.l3[index])
-
-    def multiplicities(self) -> np.ndarray:
-        """Permutation multiplicity of every enumerated triple."""
-        return permutation_multiplicity(self.l1, self.l2, self.l3)
 
     def __len__(self) -> int:
         return self.count

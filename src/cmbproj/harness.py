@@ -3,11 +3,12 @@
 This is the driver layer behind the command line: it owns the run
 configuration, the RMSE comparison between unit-normalised matrices, the
 integrator convergence study, the cross-check between the separable and
-direct engines, the benchmark mode and the matrix file formats.
+direct engines and the matrix file formats.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 from dataclasses import dataclass, asdict, replace
@@ -16,12 +17,11 @@ import numpy as np
 
 from .basis import (default_mode_mapping, default_radial_grid,
                     load_mode_mapping, synthesize_basis)
-from .engine2d import (default_mu_points, gamma2d_entry_naive,
-                       gamma2d_matrix)
+from .engine2d import default_mu_points, gamma2d_matrix, min_mu_points
 from .engine3d import gamma3d_matrix
 from .gamma import GammaMatrix
 from .geometry import enumerate_domain, h2_exact, h2_gosper
-from .quadrature import gauss_legendre, legendre_table
+from .quadrature import INTEGRATORS, gauss_legendre, legendre_table
 
 __all__ = [
     "ConfigError",
@@ -35,15 +35,14 @@ __all__ = [
     "run_gamma",
     "run_crosscheck",
     "run_convergence_study",
-    "run_bench",
     "CONVERGENCE_LADDER",
 ]
 
 CONVERGENCE_LADDER = (54, 108, 216, 432, 864, 1768)
 GOLD_R = 1768
 
-MODES = ("gamma2d", "gamma3d", "crosscheck", "convergence", "bench")
-INTEGRATOR_NAMES = ("trap", "hermite", "spline")
+MODES = ("gamma2d", "gamma3d", "crosscheck", "convergence")
+INTEGRATOR_NAMES = tuple(INTEGRATORS)
 H2_MODES = ("gosper", "exact")
 FORMATS = ("csv", "bin")
 
@@ -71,7 +70,6 @@ class RunConfig:
     workers: int = 1
     out: str | None = None
     fmt: str = "csv"
-    bench_repeats: int = 5
 
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
@@ -86,16 +84,18 @@ class RunConfig:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.h2_mode not in H2_MODES:
             raise ConfigError(f"unknown h2 mode {self.h2_mode!r}")
-        if self.mu_points is not None and self.mu_points < 1:
-            raise ConfigError("mu-points must be >= 1")
+        if self.mu_points is not None \
+                and self.mu_points < min_mu_points(self.l_max):
+            raise ConfigError(
+                f"mu-points must be >= {min_mu_points(self.l_max)} for "
+                f"lmax={self.l_max}: fewer Gauss-Legendre nodes do not "
+                f"integrate the mu product exactly")
         if self.block < 1:
             raise ConfigError("block must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown output format {self.fmt!r}")
-        if self.bench_repeats < 1:
-            raise ConfigError("bench repeats must be >= 1")
         return self
 
     def resolved_mu_points(self) -> int:
@@ -184,6 +184,28 @@ _BIN_MAGIC = b"MGAM"
 _BIN_VERSION = 1
 
 
+def _write_atomic(path, write, binary: bool = False) -> None:
+    """Call ``write(f)`` on a temporary file in the target directory, then
+    rename it over ``path``: a failed write leaves any earlier file intact
+    and removes the temporary."""
+    path = os.fspath(path)
+    mode, encoding = ("wb", None) if binary else ("w", "utf-8")
+    if os.path.exists(path) and not os.path.isfile(path):
+        # a pipe or device such as /dev/stdout cannot be renamed over
+        with open(path, mode, encoding=encoding) as f:
+            write(f)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def serialize_gamma(gamma: GammaMatrix, path, fmt: str = "csv") -> None:
     """Write a matrix as full-precision CSV or the MGAM binary format."""
     meta = gamma.meta
@@ -192,18 +214,30 @@ def serialize_gamma(gamma: GammaMatrix, path, fmt: str = "csv") -> None:
                   f"nmax={gamma.shape[0]} lmin={meta.get('l_min', 0)} "
                   f"lmax={meta.get('l_max', 0)} "
                   f"integrator={meta.get('integrator', '?')}")
-        with open(path, "w", encoding="utf-8") as f:
+
+        def write(f):
             f.write(header + "\n")
             for row in gamma.values:
                 f.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        _write_atomic(path, write)
     elif fmt == "bin":
         rows, cols = gamma.shape
-        with open(path, "wb") as f:
+
+        def write(f):
             f.write(_BIN_MAGIC)
             f.write(struct.pack("<III", _BIN_VERSION, rows, cols))
             f.write(gamma.values.astype("<f8").tobytes())
+        _write_atomic(path, write, binary=True)
     else:
         raise ValueError(f"unknown format {fmt!r}")
+
+
+def _format_checked(values, meta) -> GammaMatrix:
+    """A matrix read from a file; non-finite entries are a format error."""
+    try:
+        return GammaMatrix(values, meta)
+    except ValueError as exc:
+        raise GammaFormatError(str(exc)) from exc
 
 
 def deserialize_gamma(path, fmt: str = "csv") -> GammaMatrix:
@@ -213,9 +247,13 @@ def deserialize_gamma(path, fmt: str = "csv") -> GammaMatrix:
             lines = f.read().splitlines()
         if not lines or not lines[0].startswith("# modalgamma v1"):
             raise GammaFormatError("corrupt header")
-        fields = dict(kv.split("=") for kv in lines[0][2:].split()[2:])
         try:
+            fields = dict(kv.split("=") for kv in lines[0][2:].split()[2:])
             n_max = int(fields["nmax"])
+            meta = {"engine": fields.get("engine"),
+                    "l_min": int(fields.get("lmin", 0)),
+                    "l_max": int(fields.get("lmax", 0)),
+                    "integrator": fields.get("integrator")}
         except (KeyError, ValueError) as exc:
             raise GammaFormatError("corrupt header") from exc
         rows = [line for line in lines[1:] if line.strip()]
@@ -223,17 +261,15 @@ def deserialize_gamma(path, fmt: str = "csv") -> GammaMatrix:
             raise GammaFormatError(
                 f"dimension mismatch: header says {n_max} rows, "
                 f"found {len(rows)}")
-        values = np.array([[float(x) for x in row.split(",")]
-                           for row in rows])
-        if values.shape != (n_max, n_max):
+        cells = [row.split(",") for row in rows]
+        if any(len(row) != n_max for row in cells):
             raise GammaFormatError(
-                f"dimension mismatch: expected {n_max}x{n_max}, "
-                f"got {values.shape}")
-        meta = {"engine": fields.get("engine"),
-                "l_min": int(fields.get("lmin", 0)),
-                "l_max": int(fields.get("lmax", 0)),
-                "integrator": fields.get("integrator")}
-        return GammaMatrix(values, meta)
+                f"dimension mismatch: expected {n_max} columns per row")
+        try:
+            values = np.array([[float(x) for x in row] for row in cells])
+        except ValueError as exc:
+            raise GammaFormatError(f"non-numeric cell: {exc}") from exc
+        return _format_checked(values, meta)
     if fmt == "bin":
         with open(path, "rb") as f:
             blob = f.read()
@@ -246,7 +282,7 @@ def deserialize_gamma(path, fmt: str = "csv") -> GammaMatrix:
         if len(payload) != rows * cols * 8:
             raise GammaFormatError("truncated payload")
         values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-        return GammaMatrix(values.copy(), {"engine": "file"})
+        return _format_checked(values.copy(), {"engine": "file"})
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -340,87 +376,19 @@ def run_convergence_study(config: RunConfig,
     return rows
 
 
-def _timeit(fn, repeats):
-    times = []
-    result = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.mean(times)), result
-
-
-def run_bench(config: RunConfig, naive_cells: int = 8) -> list[dict]:
-    """Benchmark optimized vs naive paths and worker scaling.
-
-    Throughput is reported in the two iteration metrics: matrix cells per
-    second for the separable engine and flattened triples per second for
-    the direct engine.  Each measurement is repeated ``bench_repeats``
-    times and averaged.  The naive separable path is timed on a subset of
-    cells (it is far too slow for a full sweep) and reported per cell.
-    """
-    config.validate()
-    tables, mapping, grid, rule, legendre = _problem(config)
-    n_max = mapping.n_max
-    cells = n_max * n_max
-    rep = config.bench_repeats
-    rows = []
-
-    t_opt, _ = _timeit(
-        lambda: gamma2d_matrix(tables, mapping, grid, rule, legendre,
-                               integrator=config.integrator,
-                               workers=config.workers), rep)
-    rows.append({"path": "2d-optimized", "seconds": t_opt,
-                 "iterations_per_s": cells / t_opt, "speedup": ""})
-
-    sample = min(naive_cells, cells)
-    def naive_sample():
-        for flat in range(sample):
-            n, n_prime = divmod(flat, n_max)
-            gamma2d_entry_naive(n, n_prime, tables, mapping, grid, rule,
-                                legendre, config.integrator)
-    t_naive, _ = _timeit(naive_sample, rep)
-    naive_its = sample / t_naive
-    rows.append({"path": "2d-naive", "seconds": t_naive,
-                 "iterations_per_s": naive_its, "speedup": ""})
-    rows.append({"path": "2d-speedup", "seconds": "",
-                 "iterations_per_s": "",
-                 "speedup": (cells / t_opt) / naive_its})
-
-    domain = enumerate_domain(config.l_min, config.l_max)
-    t_w1, _ = _timeit(
-        lambda: gamma3d_matrix(tables, mapping, grid,
-                               h2_mode=config.h2_mode,
-                               integrator=config.integrator,
-                               block=config.block, workers=1,
-                               domain=domain), rep)
-    rows.append({"path": "3d-w1", "seconds": t_w1,
-                 "iterations_per_s": domain.count / t_w1, "speedup": ""})
-    if config.workers > 1:
-        t_wn, _ = _timeit(
-            lambda: gamma3d_matrix(tables, mapping, grid,
-                                   h2_mode=config.h2_mode,
-                                   integrator=config.integrator,
-                                   block=config.block,
-                                   workers=config.workers,
-                                   domain=domain), rep)
-        rows.append({"path": f"3d-w{config.workers}", "seconds": t_wn,
-                     "iterations_per_s": domain.count / t_wn,
-                     "speedup": t_w1 / t_wn})
-    return rows
-
-
 def write_rows_csv(rows: list[dict], config: RunConfig, path) -> None:
-    """Emit study/bench rows as CSV with the full provenance header."""
+    """Emit study rows as CSV with the full provenance header."""
     if not rows:
         raise ValueError("no rows to write")
     keys = list(rows[0])
-    with open(path, "w", encoding="utf-8") as f:
+
+    def write(f):
         for line in config.header_lines():
             f.write(line + "\n")
         f.write(",".join(keys) + "\n")
         for row in rows:
             f.write(",".join(_cell(row[k]) for k in keys) + "\n")
+    _write_atomic(path, write)
 
 
 def _cell(v) -> str:

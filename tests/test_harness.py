@@ -1,11 +1,15 @@
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
 import cmbproj as cp
+from cmbproj.cli import _KEYS, build_parser, config_from_args
 from cmbproj.cli import main as cli_main
 from cmbproj.gamma import GammaMatrix
-from cmbproj.harness import (ConfigError, GammaFormatError, run_bench,
-                             write_rows_csv)
+from cmbproj.harness import ConfigError, GammaFormatError, write_rows_csv
 
 
 def _gamma(values):
@@ -83,9 +87,29 @@ class TestSerialization:
 
     def test_csv_corrupt_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("not a header\n1,2\n3,4\n")
-        with pytest.raises(GammaFormatError, match="header"):
+        for text in ("not a header\n1,2\n3,4\n",
+                     "# modalgamma v1 engine=x nmax=2 lmin\n1,2\n3,4\n"):
+            path.write_text(text)
+            with pytest.raises(GammaFormatError, match="header"):
+                cp.deserialize_gamma(path, "csv")
+
+    @pytest.mark.parametrize("body", ["1,2\n3,x\n", "1,2\n3,nan\n",
+                                      "1,2\n3,inf\n", "1,2\n3\n"],
+                             ids=["non-numeric", "nan", "inf", "ragged"])
+    def test_csv_corrupt_cells(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("# modalgamma v1 engine=x nmax=2\n" + body)
+        with pytest.raises(GammaFormatError):
             cp.deserialize_gamma(path, "csv")
+
+    def test_bin_nan_cell(self, tmp_path, matrix):
+        path = tmp_path / "gamma.bin"
+        cp.serialize_gamma(matrix, path, "bin")
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(GammaFormatError):
+            cp.deserialize_gamma(path, "bin")
 
     def test_csv_dimension_mismatch(self, tmp_path, matrix):
         path = tmp_path / "gamma.csv"
@@ -113,6 +137,40 @@ class TestSerialization:
         with pytest.raises(ValueError):
             cp.serialize_gamma(matrix, tmp_path / "x", "json")
 
+    @pytest.mark.parametrize("writer", ["gamma-csv", "rows-csv"])
+    def test_failed_write_keeps_earlier_file(self, tmp_path, matrix, writer):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("disk full")
+
+        path = tmp_path / "out.csv"
+        path.write_text("earlier\n")
+        if writer == "gamma-csv":
+            # the second row fails to format after the first is written
+            matrix.values = np.array([[1.0] * 5, ["x"] * 5], dtype=object)
+            with pytest.raises(ValueError):
+                cp.serialize_gamma(matrix, path, "csv")
+        else:
+            rows = [{"a": 1.0}, {"a": Unprintable()}]
+            with pytest.raises(RuntimeError):
+                write_rows_csv(rows, cp.RunConfig(), path)
+        assert path.read_text() == "earlier\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_write_to_pipe_in_place(self, tmp_path, matrix):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        cp.serialize_gamma(matrix, fifo, "bin")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["pipe"]
+        assert received[0][:4] == b"MGAM" and len(received[0]) == 16 + 200
+
 
 class TestRunConfig:
     def test_defaults_valid(self):
@@ -130,11 +188,23 @@ class TestRunConfig:
         {"block": 0},
         {"workers": 0},
         {"fmt": "json"},
-        {"bench_repeats": 0},
+        {"l_max": 16, "mu_points": 24},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             cp.RunConfig(**kwargs).validate()
+
+    def test_mu_points_exactness_bound(self, capsys):
+        # ceil((3*16+1)/2) = 25 nodes integrate the mu product exactly:
+        # 24 is refused (exit 2), 25 reproduces the direct exact engine
+        cfg = dict(l_min=2, l_max=16, p_max=2, r_samples=30)
+        assert cli_main(["--mode", "gamma2d", "--lmax", "16",
+                         "--mu-points", "24"]) == 2
+        assert "mu-points must be >= 25" in capsys.readouterr().err
+        g2 = cp.run_gamma(cp.RunConfig(mode="gamma2d", mu_points=25, **cfg))
+        g3 = cp.run_gamma(cp.RunConfig(mode="gamma3d", h2_mode="exact",
+                                       **cfg))
+        assert cp.max_rel_deviation(g2, g3) < 1e-9
 
     def test_mu_points_default_tracks_lmax(self):
         assert cp.RunConfig(l_max=32).resolved_mu_points() == 51
@@ -186,17 +256,8 @@ class TestRunModes:
             # scalar-integral study, not here)
             assert r["rmse_percent"] < 1e-10
 
-    def test_bench_rows(self):
-        cfg = cp.RunConfig(mode="bench", l_min=2, l_max=8, p_max=2,
-                           mu_points=13, bench_repeats=1)
-        rows = run_bench(cfg, naive_cells=2)
-        paths = [r["path"] for r in rows]
-        assert paths == ["2d-optimized", "2d-naive", "2d-speedup", "3d-w1"]
-        speedup = rows[2]["speedup"]
-        assert speedup > 1.0
-
     def test_write_rows_csv(self, tmp_path):
-        cfg = cp.RunConfig(mode="bench")
+        cfg = cp.RunConfig(mode="convergence")
         rows = [{"path": "a", "seconds": 1.5}, {"path": "b", "seconds": 2.0}]
         path = tmp_path / "rows.csv"
         write_rows_csv(rows, cfg, path)
@@ -207,10 +268,40 @@ class TestRunModes:
 
 
 class TestConfigFile:
+    # one non-default, valid value per key of the flag/config-file table
+    SAMPLES = {"mode": "gamma3d", "lmin": "3", "lmax": "10", "pmax": "2",
+               "mapping": "map.txt", "r-samples": "30",
+               "integrator": "spline", "h2": "exact", "mu-points": "60",
+               "block": "8", "workers": "2", "out": "x.csv",
+               "format": "bin"}
+
+    @pytest.mark.parametrize("key", list(_KEYS))
+    def test_key_sets_field_as_flag_and_file_line(self, tmp_path, key):
+        field = _KEYS[key].field
+        raw = self.SAMPLES[key]
+        f = tmp_path / "run.cfg"
+        f.write_text(f"{key}={raw}\n")
+        from_flag = config_from_args(
+            build_parser().parse_args([f"--{key}", raw]))
+        from_file = config_from_args(
+            build_parser().parse_args(["--config", str(f)]))
+        expected = _KEYS[key].type(raw)
+        assert getattr(from_flag, field) == expected
+        assert getattr(from_file, field) == expected
+        assert getattr(cp.RunConfig(), field) != expected
+
+    def test_removed_bench_settings_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--mode", "bench"])
+        assert exc.value.code == 2
+        f = tmp_path / "run.cfg"
+        f.write_text("bench-repeats=5\n")
+        assert cli_main(["--config", str(f)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+
     def test_file_then_flag_override(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("# comment line\nlmax = 10\nintegrator = hermite\n")
-        from cmbproj.cli import build_parser, config_from_args
         args = build_parser().parse_args(
             ["--config", str(f), "--integrator", "spline"])
         config = config_from_args(args)
