@@ -71,9 +71,11 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
     """Precompute P[a, b, x, m] = sum_l lweight_l qtilde_b(r_x, l) q_a(l)
     P_l(mu_m).
 
-    The multipole sum runs in ascending l with Kahan compensation, so the
-    table is deterministic.  Construction is refused when the table would
-    exceed ``budget_bytes``.
+    The multipole sum is one GEMM, (p^2 R x L) @ (L x n_mu), so the table
+    is deterministic for a given BLAS.  Construction is refused when the
+    table would exceed ``budget_bytes``, and a mu rule with fewer than
+    ``min_mu_points(l_max)`` nodes is rejected: it does not integrate the
+    mu product exactly.
     """
     p = tables.p_max
     n_r = tables.n_radial
@@ -83,22 +85,18 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
         raise MemoryError(
             f"P table needs {need} bytes but the budget allows "
             f"{budget_bytes}")
+    if n_mu < min_mu_points(tables.l_max):
+        raise ValueError(
+            f"mu rule has {n_mu} nodes but l_max={tables.l_max} needs "
+            f">= {min_mu_points(tables.l_max)} to integrate exactly")
     if legendre.shape[0] < tables.l_max + 1:
         raise ValueError("legendre table does not reach l_max")
     lw = _l_weight(tables)
     pl = legendre[tables.l_min:tables.l_max + 1]     # [L, n_mu]
-    acc = np.zeros((p, p, n_r, n_mu))
-    comp = np.zeros_like(acc)
-    for li in range(tables.l_max - tables.l_min + 1):
-        term = np.einsum("a,bx,m->abxm",
-                         lw[li] * tables.q[:, li],
-                         tables.q_tilde[:, :, li],
-                         pl[li])
-        y = term - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-    return PTable(acc)
+    lq = lw * tables.q                               # [p, L]
+    left = lq[:, None, None, :] * tables.q_tilde[None]   # [p, p, R, L]
+    values = left.reshape(p * p * n_r, -1) @ pl
+    return PTable(values.reshape(p, p, n_r, n_mu))
 
 
 def _permanent3(m):

@@ -94,6 +94,10 @@ class RunConfig:
             raise ConfigError("block must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        cpus = os.cpu_count() or 1
+        if self.workers > cpus:
+            raise ConfigError(f"workers must be <= {cpus}, the CPU count: "
+                              f"each worker is a process")
         if self.fmt not in FORMATS:
             raise ConfigError(f"unknown output format {self.fmt!r}")
         return self
@@ -110,7 +114,7 @@ class RunConfig:
 
 
 def _problem(config: RunConfig):
-    """Tables, mapping, grid and quadrature for a configuration."""
+    """Tables, mapping and grid for a configuration."""
     grid = default_radial_grid(config.r_samples)
     tables = synthesize_basis(config.p_max, config.l_min, config.l_max, grid)
     if config.mapping == "default":
@@ -121,9 +125,13 @@ def _problem(config: RunConfig):
             raise ConfigError(
                 f"mapping file needs p_max={mapping.p_max} but run has "
                 f"p_max={config.p_max}")
+    return tables, mapping, grid
+
+
+def _mu_quadrature(config: RunConfig):
+    """The separable engine's mu rule and its Legendre table."""
     rule = gauss_legendre(config.resolved_mu_points())
-    legendre = legendre_table(config.l_max, rule)
-    return tables, mapping, grid, rule, legendre
+    return rule, legendre_table(config.l_max, rule)
 
 
 # ----------------------------------------------------------------------
@@ -293,8 +301,9 @@ def deserialize_gamma(path, fmt: str = "csv") -> GammaMatrix:
 def run_gamma(config: RunConfig) -> GammaMatrix:
     """Compute the matrix with the configured engine."""
     config.validate()
-    tables, mapping, grid, rule, legendre = _problem(config)
+    tables, mapping, grid = _problem(config)
     if config.mode == "gamma2d":
+        rule, legendre = _mu_quadrature(config)
         return gamma2d_matrix(tables, mapping, grid, rule, legendre,
                               integrator=config.integrator,
                               workers=config.workers)
@@ -314,7 +323,8 @@ def run_crosscheck(config: RunConfig) -> ComparisonReport:
     deviation envelope is reported alongside.
     """
     config.validate()
-    tables, mapping, grid, rule, legendre = _problem(config)
+    tables, mapping, grid = _problem(config)
+    rule, legendre = _mu_quadrature(config)
 
     t0 = time.perf_counter()
     g2 = gamma2d_matrix(tables, mapping, grid, rule, legendre,
@@ -358,7 +368,7 @@ def run_convergence_study(config: RunConfig,
     def matrix_for(integrator, n_r):
         cfg = replace(config, mode="gamma3d", integrator=integrator,
                       r_samples=n_r)
-        tables, mapping, grid, _, _ = _problem(cfg)
+        tables, mapping, grid = _problem(cfg)
         return gamma3d_matrix(tables, mapping, grid, h2_mode=config.h2_mode,
                               integrator=integrator, block=config.block,
                               workers=config.workers)

@@ -10,7 +10,11 @@ Radial integrals over the nonuniform grid come in three flavours:
 trapezium, Hermite-cubic (trapezium plus a secant-slope correction term)
 and a natural-cubic-spline gold standard.  All integrator sums are
 accumulated with math.fsum so the result is independent of clever
-re-association and correctly rounded.
+re-association and correctly rounded; they are the oracles for the
+engines' weight vectors, which ``integration_weights`` builds in closed
+form in O(R): trapezium weights from the interval widths, the Hermite
+correction as a linear form in the secant slopes, and the spline
+correction from one banded solve with the moment matrix.
 """
 
 from __future__ import annotations
@@ -145,10 +149,12 @@ def integrate_hermite(r, y) -> float:
     return math.fsum(terms)
 
 
-def _natural_spline_moments(r, y) -> np.ndarray:
-    """Second derivatives of the natural cubic spline through (r, y)."""
-    n = len(r)
-    h = np.diff(r)
+def _moment_bands(h: np.ndarray) -> np.ndarray:
+    """Banded (1, 1) form of the natural-spline moment matrix A for the
+    interval widths h: A m = B y, with B the second-difference operator
+    6 [(y_{k+1} - y_k)/h_k - (y_k - y_{k-1})/h_{k-1}] on interior rows and
+    the natural end conditions m_0 = m_{n-1} = 0."""
+    n = len(h) + 1
     ab = np.zeros((3, n))
     ab[1, 0] = ab[1, -1] = 1.0
     ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
@@ -156,9 +162,16 @@ def _natural_spline_moments(r, y) -> np.ndarray:
     ab[0, 2:] = h[1:]
     ab[2, :-2] = h[:-1]
     ab[2, -2] = 0.0
+    return ab
+
+
+def _natural_spline_moments(r, y) -> np.ndarray:
+    """Second derivatives of the natural cubic spline through (r, y)."""
+    n = len(r)
+    h = np.diff(r)
     rhs = np.zeros(n)
     rhs[1:-1] = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-    return solve_banded((1, 1), ab, rhs)
+    return solve_banded((1, 1), _moment_bands(h), rhs)
 
 
 def integrate_spline(r, y) -> float:
@@ -180,24 +193,68 @@ INTEGRATORS = {
 }
 
 
+def _trapezium_weights(dr: np.ndarray) -> np.ndarray:
+    w = np.zeros(len(dr) + 1)
+    w[:-1] += 0.5 * dr
+    w[1:] += 0.5 * dr
+    return w
+
+
+def _hermite_weights(dr: np.ndarray) -> np.ndarray:
+    """Trapezium weights plus the linear form of
+    sum_{k<n-2} (dr_k^2/12)(s_k - s_{k+1}), s_k = (y_{k+1} - y_k)/dr_k."""
+    c = dr[:-1] ** 2 / 12.0
+    g = np.zeros_like(dr)            # coefficient of s_k
+    g[:-1] += c
+    g[1:] -= c
+    t = g / dr
+    w = _trapezium_weights(dr)
+    w[1:] += t
+    w[:-1] -= t
+    return w
+
+
+def _spline_weights(dr: np.ndarray) -> np.ndarray:
+    """Trapezium weights minus B^T u, where A^T u = c and
+    c_k = (h_{k-1}^3 + h_k^3)/24: the spline's correction -c . m with
+    m = A^-1 B y, moved onto y.  The natural end moments are zero, so
+    only the interior of c counts; with its ends set to zero, A u = c has
+    the same interior solution as A^T u = c, because A's interior block
+    is symmetric and its end rows do not couple back into it."""
+    c = np.zeros(len(dr) + 1)
+    c[1:-1] = (dr[:-1] ** 3 + dr[1:] ** 3) / 24.0
+    v = 6.0 * solve_banded((1, 1), _moment_bands(dr), c)[1:-1]
+    fwd = v / dr[1:]
+    back = v / dr[:-1]
+    w = _trapezium_weights(dr)
+    w[2:] -= fwd
+    w[1:-1] += fwd + back
+    w[:-2] -= back
+    return w
+
+
+_WEIGHTS = {
+    "trap": (2, _trapezium_weights),
+    "hermite": (3, _hermite_weights),
+    "spline": (4, _spline_weights),
+}
+
+
 def integration_weights(r, method: str = "trap") -> np.ndarray:
     """Weight vector w with w . y == integrator(r, y) for every y.
 
     All three integrators are linear in the samples, so their action on a
-    fixed grid is a dot product; the weights are extracted by applying the
-    integrator to unit vectors.  Used by the engines' vectorised paths
-    (cross-checked against the direct integrators by the oracle tests).
+    fixed grid is a dot product.  The weights are built in closed form in
+    O(R) from the interval widths: the trapezium puts half of each width
+    on either end of its interval, Hermite adds the linear form of its
+    secant-slope correction and spline subtracts B^T u from one banded
+    solve A^T u = c.  The oracle tests check them against the
+    ``math.fsum`` integrators.
     """
     r = np.asarray(r, dtype=np.float64)
     try:
-        integrate = INTEGRATORS[method]
+        minimum, weights = _WEIGHTS[method]
     except KeyError:
         raise ValueError(f"unknown integrator {method!r}") from None
-    n = len(r)
-    w = np.empty(n)
-    e = np.zeros(n)
-    for i in range(n):
-        e[i] = 1.0
-        w[i] = integrate(r, e)
-        e[i] = 0.0
-    return w
+    _check_lengths(r, r, minimum)
+    return weights(np.diff(r))

@@ -69,6 +69,17 @@ class TestPTable:
             cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre,
                             budget_bytes=1024)
 
+    def test_mu_rule_exactness_bound(self, desk):
+        # l_max=16 needs ceil((3*16+1)/2) = 25 nodes; with fewer the matrix
+        # came out with the wrong norm and no error
+        def build(n_mu):
+            rule = cp.gauss_legendre(n_mu)
+            return cp.build_ptable(desk.tables, desk.grid, rule,
+                                   cp.legendre_table(desk.l_max, rule))
+        with pytest.raises(ValueError, match=">= 25"):
+            build(24)
+        assert build(25).values.shape[-1] == 25
+
     def test_deterministic(self, desk):
         a = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
         b = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)

@@ -194,6 +194,19 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cp.RunConfig(**kwargs).validate()
 
+    def test_workers_capped_at_cpu_count(self, monkeypatch, capsys):
+        # each worker is a process, so the cap is checked before any pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cp.RunConfig(workers=2).validate()
+        with pytest.raises(ConfigError, match="workers must be <= 2"):
+            cp.RunConfig(workers=3).validate()
+        assert cli_main(["--workers", "100000"]) == 2
+        assert "workers must be <= 2" in capsys.readouterr().err
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        cp.RunConfig(workers=1).validate()
+        with pytest.raises(ConfigError, match="workers must be <= 1"):
+            cp.RunConfig(workers=2).validate()
+
     def test_mu_points_exactness_bound(self, capsys):
         # ceil((3*16+1)/2) = 25 nodes integrate the mu product exactly:
         # 24 is refused (exit 2), 25 reproduces the direct exact engine
@@ -276,7 +289,9 @@ class TestConfigFile:
                "format": "bin"}
 
     @pytest.mark.parametrize("key", list(_KEYS))
-    def test_key_sets_field_as_flag_and_file_line(self, tmp_path, key):
+    def test_key_sets_field_as_flag_and_file_line(self, tmp_path,
+                                                  monkeypatch, key):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # workers=2 valid
         field = _KEYS[key].field
         raw = self.SAMPLES[key]
         f = tmp_path / "run.cfg"

@@ -151,9 +151,16 @@ class TestIntegrators:
             assert combined == pytest.approx(split, abs=1e-9)
 
 
+def _weight_grids():
+    # plus the ends of the convergence ladder
+    return {**_grids(), "R54": cp.default_radial_grid(54).r,
+            "R1768": cp.default_radial_grid(1768).r}
+
+
 class TestIntegrationWeights:
     @pytest.mark.parametrize("method", ["trap", "hermite", "spline"])
-    @pytest.mark.parametrize("grid", _grids().values(), ids=_grids().keys())
+    @pytest.mark.parametrize("grid", _weight_grids().values(),
+                             ids=_weight_grids().keys())
     def test_weights_reproduce_integrator(self, method, grid):
         w = integration_weights(grid, method)
         rng = np.random.default_rng(3)
@@ -167,6 +174,33 @@ class TestIntegrationWeights:
         r = np.array([0.0, 1.0, 3.0, 6.0])
         w = integration_weights(r, "trap")
         assert w == pytest.approx([0.5, 1.5, 2.5, 1.5], abs=1e-15)
+
+    @pytest.mark.parametrize("grid", [np.linspace(0.0, 3.0, 31),
+                                      cp.default_radial_grid(216).r])
+    def test_trap_weights_bitwise_unit_vectors(self, grid):
+        # the trapezium weights equal, bit for bit, the integrator applied
+        # to each unit vector, so the direct engine's trap matrices do not
+        # depend on how the weights are built
+        unit = np.empty(len(grid))
+        e = np.zeros(len(grid))
+        for i in range(len(grid)):
+            e[i] = 1.0
+            unit[i] = cp.integrate_trapezium(grid, e)
+            e[i] = 0.0
+        assert np.array_equal(integration_weights(grid, "trap"), unit)
+
+    @pytest.mark.parametrize("method", ["trap", "hermite", "spline"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_minimum_lengths_match_integrator(self, method, n):
+        r = np.arange(float(n))
+        try:
+            expected = INTEGRATORS[method](r, r)
+        except ValueError:
+            with pytest.raises(ValueError, match="at least"):
+                integration_weights(r, method)
+        else:
+            assert float(integration_weights(r, method) @ r) \
+                == pytest.approx(expected, rel=1e-14)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown integrator"):
