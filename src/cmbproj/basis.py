@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -92,6 +93,21 @@ class ModeMapping:
 
     def fingerprint(self) -> str:
         return _sha256(np.int64(self.p_max).tobytes(), self.entries.tobytes())
+
+
+# the six orderings of a basis triple, in one fixed order for every engine
+_PERMS3 = tuple(permutations((0, 1, 2)))
+
+
+def _permutation_counts(mapping: ModeMapping, p: int) -> np.ndarray:
+    """S[n, b] = how many of the six orderings of mapping triple n have
+    flat index b = (b1 p + b2) p + b3; ``p`` is the tables' p_max."""
+    e = mapping.entries
+    s = np.zeros((mapping.n_max, p**3))
+    rows = np.arange(mapping.n_max)
+    for a, b, c in _PERMS3:
+        s[rows, (e[:, a] * p + e[:, b]) * p + e[:, c]] += 1.0
+    return s
 
 
 def default_mode_mapping(p_max: int) -> ModeMapping:

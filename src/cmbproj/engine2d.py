@@ -3,11 +3,13 @@
 The triple multipole sum collapses into products of 1D resummations
 P[a,b](r, mu) once the geometric weight is written as a Legendre-product
 integral over mu.  The fast path precomputes P for every (basis pair,
-radial point, quadrature node); each matrix entry is then a six-term
-permanent of a 3x3 block of the table, integrated over mu first (always)
-and then radially.  The naive path recomputes the multipole sums per
-entry, exactly like the original hotspot, and is kept permanently as the
-oracle for the table-driven path.
+radial point, quadrature node) and sweeps the matrix row by row: for row
+n = (i, j, k), batched GEMMs over fixed slabs of radial points integrate
+P[i,b1] P[j,b2] P[k,b3] over mu first, then radially, into T[n, b].  The
+six-term permanent of each entry is then one product with the counts S
+of the column permutations, Gamma = T S^T / 48 pi.  The naive path
+recomputes the multipole sums per entry, exactly like the original
+hotspot, and is kept permanently as the oracle for the table path.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .basis import BasisTables, ModeMapping, RadialGrid
-from .gamma import GammaMatrix, _base_meta
+from .basis import BasisTables, ModeMapping, RadialGrid, _permutation_counts
+from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
 from .quadrature import QuadratureRule, integration_weights
 from .scheduler import make_plan
 
@@ -34,7 +36,7 @@ __all__ = [
     "gamma2d_matrix_naive",
 ]
 
-DEFAULT_PTABLE_BUDGET = 2 << 30   # bytes
+_SLAB = 16   # radial points per batched GEMM: bounds temporaries for any R
 
 # The mu integrand is a product of three Legendre expansions of degree
 # <= l_max, so an n-node rule with 2n-1 >= 3*l_max is exact.
@@ -67,7 +69,7 @@ class PTable:
 
 def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
                  legendre: np.ndarray,
-                 budget_bytes: int = DEFAULT_PTABLE_BUDGET) -> PTable:
+                 budget_bytes: int = MEMORY_BUDGET) -> PTable:
     """Precompute P[a, b, x, m] = sum_l lweight_l qtilde_b(r_x, l) q_a(l)
     P_l(mu_m).
 
@@ -157,14 +159,22 @@ def gamma2d_entry_naive(n: int, n_prime: int, tables: BasisTables,
 
 
 def _cells_chunk(args):
+    """Rows [start, stop) of T, one batched GEMM per row and radial slab;
+    the same operations in any chunk.  ``perfbench/tracing.py`` wraps this
+    pool entry point by name."""
     (start, stop, ptable, mapping, grid, rule, integrator) = args
-    w = integration_weights(grid.r, integrator)
-    n_max = mapping.n_max
-    out = np.empty(stop - start)
-    for flat in range(start, stop):
-        n, n_prime = divmod(flat, n_max)
-        out[flat - start] = gamma2d_entry(n, n_prime, ptable, mapping, grid,
-                                          rule, integrator, radial_weights=w)
+    pv = ptable.values
+    p, n_mu = ptable.p_max, rule.n
+    wr2 = integration_weights(grid.r, integrator) * grid.r**2
+    out = np.zeros((stop - start, p**3))
+    for row, (i, j, k) in enumerate(mapping.entries[start:stop]):
+        for x0 in range(0, grid.r.size, _SLAB):
+            xs = slice(x0, x0 + _SLAB)
+            pi = pv[i, :, xs].transpose(1, 0, 2)                # [X, p, n_mu]
+            pj = pv[j, :, xs].transpose(1, 0, 2)
+            left = (pi[:, :, None] * pj[:, None]).reshape(-1, p * p, n_mu)
+            right = (pv[k, :, xs] * rule.weights).transpose(1, 2, 0)
+            out[row] += wr2[xs] @ (left @ right).reshape(-1, p**3)
     return out
 
 
@@ -173,15 +183,16 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
                    legendre: np.ndarray, integrator: str = "trap",
                    workers: int = 1,
                    ptable: PTable | None = None) -> GammaMatrix:
-    """Full matrix via the precomputed-table path, cell-parallel.
+    """Full matrix via the precomputed-table path, row-parallel.
 
-    Every cell is computed independently with disjoint writes, so the
-    result is bitwise identical for any worker count.
+    Row-batched and mu-first over radial slabs, with the columns
+    symmetrised once by S (see the module docstring).  Every row is
+    computed by the same operations in any chunk, so the result is
+    bitwise identical for any worker count.
     """
     if ptable is None:
         ptable = build_ptable(tables, grid, rule, legendre)
-    n_max = mapping.n_max
-    plan = make_plan(n_max * n_max, workers)
+    plan = make_plan(mapping.n_max, workers)
     jobs = [(start, stop, ptable, mapping, grid, rule, integrator)
             for start, stop in plan.ranges]
     if workers == 1:
@@ -189,7 +200,8 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     else:
         with get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_cells_chunk, jobs)
-    values = np.concatenate(chunks).reshape(n_max, n_max)
+    s = _permutation_counts(mapping, ptable.p_max)
+    values = np.concatenate(chunks) @ s.T / (48.0 * np.pi)
     meta = _base_meta(tables, grid, mapping, "modal2d", integrator,
                       {"n_mu": rule.n, "workers": workers})
     return GammaMatrix(values, meta)

@@ -12,13 +12,12 @@ triple loops, inner late-mode accumulation) and is the permanent oracle.
 
 from __future__ import annotations
 
-from itertools import permutations
 from multiprocessing import get_context
 
 import numpy as np
 
-from .basis import BasisTables, ModeMapping, RadialGrid
-from .gamma import GammaMatrix, _base_meta
+from .basis import _PERMS3, BasisTables, ModeMapping, RadialGrid
+from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
 from .geometry import (TriangularDomain, _z_denominator, enumerate_domain,
                        geometric_prefactor, h2_exact, permutation_multiplicity,
                        theta_indicator)
@@ -35,8 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK = 64
-
-_PERMS3 = tuple(permutations((0, 1, 2)))
 
 
 def _triple_z(tables: BasisTables, l1, l2, l3, h2_mode: str):
@@ -143,7 +140,8 @@ def gamma3d_matrix(tables: BasisTables, mapping: ModeMapping,
     The space is statically partitioned into contiguous per-worker chunks;
     each worker accumulates a private partial matrix block by block and
     the partials are merged once in worker order.  Bitwise reproducible
-    for a fixed (workers, block) pair.
+    for a fixed (workers, block) pair.  A block whose working arrays would
+    exceed ``MEMORY_BUDGET`` raises MemoryError before any sweep starts.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
@@ -153,6 +151,14 @@ def gamma3d_matrix(tables: BasisTables, mapping: ModeMapping,
                       {"h2_mode": h2_mode, "block": block,
                        "workers": workers})
     plan = make_plan(domain.count, workers)
+    # live per block: the [p, R, B] q_tilde slices, f and up to three
+    # [n_max, R, B] gathers and products of _block_accumulate
+    b = min(block, max(stop - start for start, stop in plan.ranges))
+    need = 8 * tables.n_radial * b * (3 * tables.p_max + 4 * mapping.n_max)
+    if need > MEMORY_BUDGET:
+        raise MemoryError(
+            f"a block of {b} triples needs {need} bytes but the budget "
+            f"allows {MEMORY_BUDGET}")
     jobs = [(start, stop, tables, mapping, grid, domain, h2_mode,
              integrator, block) for start, stop in plan.ranges]
     if workers == 1:

@@ -8,6 +8,9 @@ import numpy as np
 
 __all__ = ["GammaMatrix"]
 
+# bytes one engine's table or working block may take before it is refused
+MEMORY_BUDGET = 2 << 30
+
 
 @dataclass
 class GammaMatrix:

@@ -1,7 +1,7 @@
 """Static deterministic partitioning of flat iteration spaces.
 
 Both engines sweep a single flattened index range (valid multipole triples
-for the direct engine, matrix cells for the separable one).  Work is
+for the direct engine, mapping rows for the separable one).  Work is
 carved into contiguous, balanced, per-worker chunks up front; each worker
 produces a private partial result and the partials are merged once, in
 ascending worker order, so a run is reproducible for a fixed worker count.

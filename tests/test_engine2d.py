@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cmbproj as cp
-from cmbproj.engine2d import _l_weight, _permanent3, default_mu_points
+from cmbproj.engine2d import (_cells_chunk, _l_weight, _permanent3,
+                              default_mu_points)
+from conftest import Problem
 
 
 def relative_gap(a, b):
@@ -146,3 +150,59 @@ class TestMatrix:
                               desk.rule, desk.legendre)
         assert np.all(np.isfinite(g.values))
         assert np.max(np.abs(g.values)) > 0
+
+
+class TestRowSweep:
+    @pytest.mark.parametrize("integrator", ["trap", "hermite", "spline"])
+    @pytest.mark.parametrize("p_max", [2, 3, 4])
+    def test_every_cell_matches_entry(self, p_max, integrator):
+        # R=40 is not a multiple of the slab, so the last slab is partial
+        pr = Problem(l_min=2, l_max=10, p_max=p_max, n_r=40)
+        pt = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
+        g = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
+                              pr.legendre, integrator=integrator, ptable=pt)
+        n_max = pr.mapping.n_max
+        cells = np.array([[cp.gamma2d_entry(n, n_prime, pt, pr.mapping,
+                                            pr.grid, pr.rule, integrator)
+                           for n_prime in range(n_max)]
+                          for n in range(n_max)])
+        assert relative_gap(g.values, cells) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["permuted", "smaller_p"])
+    def test_mapping_variants_match_naive(self, desk, rng, kind):
+        if kind == "permuted":
+            order = rng.permutation(desk.mapping.n_max)
+            mapping = cp.ModeMapping(desk.mapping.entries[order],
+                                     desk.p_max)
+        else:
+            mapping = cp.default_mode_mapping(desk.p_max - 1)
+        fast = cp.gamma2d_matrix(desk.tables, mapping, desk.grid,
+                                 desk.rule, desk.legendre)
+        naive = cp.gamma2d_matrix_naive(desk.tables, mapping, desk.grid,
+                                        desk.rule, desk.legendre)
+        assert fast.shape == (mapping.n_max, mapping.n_max)
+        assert relative_gap(fast.values, naive.values) < 1e-12
+
+    def test_bitwise_with_empty_chunk(self, desk):
+        mapping = cp.ModeMapping(np.array([[0, 1, 2], [1, 1, 2]]),
+                                 desk.p_max)
+        runs = [cp.gamma2d_matrix(desk.tables, mapping, desk.grid,
+                                  desk.rule, desk.legendre, workers=w)
+                for w in (1, 3)]
+        assert np.array_equal(runs[0].values, runs[1].values)
+
+    def test_sweep_memory_independent_of_radial_size(self):
+        peaks = []
+        for n_r in (216, 1768):
+            pr = Problem(l_min=2, l_max=40, p_max=4, n_r=n_r)
+            pt = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
+            job = (0, pr.mapping.n_max, pt, pr.mapping, pr.grid, pr.rule,
+                   "spline")
+            tracemalloc.start()
+            try:
+                _cells_chunk(job)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a sweep over whole radial columns would grow ~8x here
+        assert peaks[1] < 1.1 * peaks[0]

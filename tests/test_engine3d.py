@@ -116,3 +116,40 @@ class TestGosperVsExact:
         # deviation only loosely (mixing of signs); check the rms level
         gap = relative_gap(gosper.values, exact.values)
         assert 0 < gap < 0.025
+
+
+class TestBlockBudget:
+    @staticmethod
+    def _need(desk, b):
+        return 8 * len(desk.grid) * b * (3 * desk.p_max
+                                          + 4 * desk.mapping.n_max)
+
+    def test_refused_before_sweep(self, desk, monkeypatch):
+        import cmbproj.engine3d as e3
+        def no_sweep(args):
+            raise AssertionError("sweep started")
+        monkeypatch.setattr(e3, "_sweep_chunk", no_sweep)
+        monkeypatch.setattr(e3, "MEMORY_BUDGET", self._need(desk, 64) - 1)
+        with pytest.raises(MemoryError, match="budget"):
+            cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid, block=64)
+
+    def test_block_clipped_to_largest_chunk(self, desk, monkeypatch):
+        import cmbproj.engine3d as e3
+        count = cp.enumerate_domain(desk.l_min, desk.l_max).count
+        monkeypatch.setattr(e3, "MEMORY_BUDGET", self._need(desk, count))
+        g = cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
+                              block=10**9)
+        assert g.shape == (desk.mapping.n_max, desk.mapping.n_max)
+        monkeypatch.setattr(e3, "MEMORY_BUDGET",
+                            self._need(desk, count) - 1)
+        with pytest.raises(MemoryError):
+            cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
+                              block=10**9)
+
+    def test_cli_exit_3(self, monkeypatch, capsys):
+        from cmbproj.cli import main as cli_main
+        monkeypatch.setattr("cmbproj.engine3d.MEMORY_BUDGET", 1024)
+        rc = cli_main(["--mode", "gamma3d", "--lmin", "2", "--lmax", "8",
+                       "--pmax", "2", "--r-samples", "30"])
+        assert rc == 3
+        assert "numerical error" in capsys.readouterr().err

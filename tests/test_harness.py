@@ -269,6 +269,28 @@ class TestRunModes:
             # scalar-integral study, not here)
             assert r["rmse_percent"] < 1e-10
 
+    def test_convergence_reuses_gold(self, monkeypatch):
+        import cmbproj.harness as harness
+        calls = []
+        real = harness.gamma3d_matrix
+        def counting(*args, **kwargs):
+            calls.append(kwargs["integrator"])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(harness, "gamma3d_matrix", counting)
+        cfg = cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2,
+                           mu_points=13)
+        rows = cp.run_convergence_study(cfg)
+        # gold plus 3 x 6 rows, the (spline, GOLD_R) row reusing gold
+        assert len(calls) == 18
+        gold = [r for r in rows if r["integrator"] == "spline"
+                and r["r_samples"] == harness.GOLD_R]
+        assert len(gold) == 1 and gold[0]["rmse_percent"] == 0.0
+        assert gold[0]["seconds"] > 0
+        calls.clear()
+        ladder = (30, 60)
+        cp.run_convergence_study(cfg, ladder=ladder)
+        assert len(calls) == 1 + 3 * len(ladder)
+
     def test_write_rows_csv(self, tmp_path):
         cfg = cp.RunConfig(mode="convergence")
         rows = [{"path": "a", "seconds": 1.5}, {"path": "b", "seconds": 2.0}]
