@@ -48,7 +48,8 @@ class BasisFormatError(ValueError):
     """Malformed basis-table file."""
 
 
-def _sha256(*chunks: bytes) -> str:
+def _sha256(*chunks) -> str:
+    """Digest of the concatenated bytes or C-contiguous buffers."""
     h = hashlib.sha256()
     for c in chunks:
         h.update(c)
@@ -250,7 +251,8 @@ class BasisTables:
 
     def __post_init__(self):
         for name in ("q", "q_tilde", "C", "v"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
+            # contiguous, so fingerprint() can hash the buffers uncopied
+            a = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             object.__setattr__(self, name, a)
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"table {name} contains non-finite values")
@@ -273,9 +275,8 @@ class BasisTables:
         return np.arange(self.l_min, self.l_max + 1)
 
     def fingerprint(self) -> str:
-        return _sha256(self.q.tobytes(), self.q_tilde.tobytes(),
-                       self.C.tobytes(), self.v.tobytes(),
-                       np.int64([self.l_min, self.l_max]).tobytes())
+        return _sha256(self.q, self.q_tilde, self.C, self.v,
+                       np.int64([self.l_min, self.l_max]))
 
 
 def _shifted_legendre(p_max: int, l_min: int, l_max: int) -> np.ndarray:

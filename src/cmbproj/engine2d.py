@@ -15,7 +15,6 @@ hotspot, and is kept permanently as the oracle for the table path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
@@ -26,7 +25,6 @@ from .quadrature import QuadratureRule, integration_weights
 from .scheduler import make_plan
 
 __all__ = [
-    "PTable",
     "min_mu_points",
     "default_mu_points",
     "build_ptable",
@@ -55,23 +53,12 @@ def _l_weight(tables: BasisTables) -> np.ndarray:
     return (2.0 * ells + 1.0) / (tables.v * np.sqrt(tables.C))
 
 
-@dataclass(frozen=True)
-class PTable:
-    """Precomputed resummations, values[a, b, x, m] with late index a,
-    primordial index b, radial point x and mu node m."""
-
-    values: np.ndarray
-
-    @property
-    def p_max(self) -> int:
-        return self.values.shape[0]
-
-
 def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
                  legendre: np.ndarray,
-                 budget_bytes: int = MEMORY_BUDGET) -> PTable:
+                 budget_bytes: int = MEMORY_BUDGET) -> np.ndarray:
     """Precompute P[a, b, x, m] = sum_l lweight_l qtilde_b(r_x, l) q_a(l)
-    P_l(mu_m).
+    P_l(mu_m), with late index a, primordial index b, radial point x and
+    mu node m.
 
     The multipole sum is one GEMM, (p^2 R x L) @ (L x n_mu), so the table
     is deterministic for a given BLAS.  Construction is refused when the
@@ -98,7 +85,7 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
     lq = lw * tables.q                               # [p, L]
     left = lq[:, None, None, :] * tables.q_tilde[None]   # [p, p, R, L]
     values = left.reshape(p * p * n_r, -1) @ pl
-    return PTable(values.reshape(p, p, n_r, n_mu))
+    return values.reshape(p, p, n_r, n_mu)
 
 
 def _permanent3(m):
@@ -112,10 +99,9 @@ def _permanent3(m):
             + m[0][2] * m[1][1] * m[2][0])
 
 
-def gamma2d_entry(n: int, n_prime: int, ptable: PTable, mapping: ModeMapping,
-                  grid: RadialGrid, rule: QuadratureRule,
-                  integrator: str = "trap",
-                  radial_weights: np.ndarray | None = None) -> float:
+def gamma2d_entry(n: int, n_prime: int, ptable: np.ndarray,
+                  mapping: ModeMapping, grid: RadialGrid,
+                  rule: QuadratureRule, integrator: str = "trap") -> float:
     """One matrix entry from the precomputed table.
 
     The mu integral is evaluated first at every radial point, then the
@@ -124,12 +110,11 @@ def gamma2d_entry(n: int, n_prime: int, ptable: PTable, mapping: ModeMapping,
     """
     rows = mapping.triple(n)
     cols = mapping.triple(n_prime)
-    m = [[ptable.values[rows[a], cols[b]] for b in range(3)] for a in range(3)]
+    m = [[ptable[rows[a], cols[b]] for b in range(3)] for a in range(3)]
     per = _permanent3(m)                      # [R, n_mu]
     inner = per @ rule.weights                # mu first -> I(r)
-    if radial_weights is None:
-        radial_weights = integration_weights(grid.r, integrator)
-    return float((grid.r**2 * inner) @ radial_weights / (48.0 * np.pi))
+    w = integration_weights(grid.r, integrator)
+    return float((grid.r**2 * inner) @ w / (48.0 * np.pi))
 
 
 def gamma2d_entry_naive(n: int, n_prime: int, tables: BasisTables,
@@ -162,13 +147,11 @@ def _cells_chunk(args):
     """Rows [start, stop) of T, one batched GEMM per row and radial slab;
     the same operations in any chunk.  ``perfbench/tracing.py`` wraps this
     pool entry point by name."""
-    (start, stop, ptable, mapping, grid, rule, integrator) = args
-    pv = ptable.values
-    p, n_mu = ptable.p_max, rule.n
-    wr2 = integration_weights(grid.r, integrator) * grid.r**2
+    (start, stop, pv, mapping, rule, wr2) = args
+    p, n_mu = pv.shape[0], rule.n
     out = np.zeros((stop - start, p**3))
     for row, (i, j, k) in enumerate(mapping.entries[start:stop]):
-        for x0 in range(0, grid.r.size, _SLAB):
+        for x0 in range(0, wr2.size, _SLAB):
             xs = slice(x0, x0 + _SLAB)
             pi = pv[i, :, xs].transpose(1, 0, 2)                # [X, p, n_mu]
             pj = pv[j, :, xs].transpose(1, 0, 2)
@@ -181,8 +164,7 @@ def _cells_chunk(args):
 def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
                    grid: RadialGrid, rule: QuadratureRule,
                    legendre: np.ndarray, integrator: str = "trap",
-                   workers: int = 1,
-                   ptable: PTable | None = None) -> GammaMatrix:
+                   workers: int = 1) -> GammaMatrix:
     """Full matrix via the precomputed-table path, row-parallel.
 
     Row-batched and mu-first over radial slabs, with the columns
@@ -190,17 +172,16 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     computed by the same operations in any chunk, so the result is
     bitwise identical for any worker count.
     """
-    if ptable is None:
-        ptable = build_ptable(tables, grid, rule, legendre)
-    plan = make_plan(mapping.n_max, workers)
-    jobs = [(start, stop, ptable, mapping, grid, rule, integrator)
-            for start, stop in plan.ranges]
+    wr2 = integration_weights(grid.r, integrator) * grid.r**2
+    ptable = build_ptable(tables, grid, rule, legendre)
+    jobs = [(start, stop, ptable, mapping, rule, wr2)
+            for start, stop in make_plan(mapping.n_max, workers)]
     if workers == 1:
         chunks = [_cells_chunk(j) for j in jobs]
     else:
         with get_context("fork").Pool(workers) as pool:
             chunks = pool.map(_cells_chunk, jobs)
-    s = _permutation_counts(mapping, ptable.p_max)
+    s = _permutation_counts(mapping, tables.p_max)
     values = np.concatenate(chunks) @ s.T / (48.0 * np.pi)
     meta = _base_meta(tables, grid, mapping, "modal2d", integrator,
                       {"n_mu": rule.n, "workers": workers})

@@ -6,7 +6,8 @@ primordial product x(n').  The optimized sweep processes blocks of B
 consecutive flattened triples, filling a late-time factor block P and a
 primordial factor block X (multiplicity and z folded into X) and
 accumulating the matrix as P X^T -- the blocked two-matrix reduction.
-The naive path keeps the original loop structure (primordial mode outer,
+Each worker sweeps one contiguous chunk of triples into its own matrix,
+and the parent sums these in worker order.  The naive path keeps the original loop structure (primordial mode outer,
 triple loops, inner late-mode accumulation) and is the permanent oracle.
 """
 
@@ -19,10 +20,10 @@ import numpy as np
 from .basis import _PERMS3, BasisTables, ModeMapping, RadialGrid
 from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
 from .geometry import (TriangularDomain, _z_denominator, enumerate_domain,
-                       geometric_prefactor, h2_exact, permutation_multiplicity,
+                       h2_exact, h2_gosper, permutation_multiplicity,
                        theta_indicator)
 from .quadrature import INTEGRATORS, integration_weights
-from .scheduler import make_plan, merge_partials
+from .scheduler import make_plan
 
 __all__ = [
     "radial_integral_x",
@@ -35,16 +36,20 @@ __all__ = [
 
 DEFAULT_BLOCK = 64
 
+_H2 = {"gosper": h2_gosper, "exact": h2_exact}
+
+
+def _h2_function(h2_mode: str):
+    """The h^2 weight of ``h2_mode``; ValueError for an unknown mode."""
+    if h2_mode not in _H2:
+        raise ValueError(f"unknown h2_mode {h2_mode!r}")
+    return _H2[h2_mode]
+
 
 def _triple_z(tables: BasisTables, l1, l2, l3, h2_mode: str):
     """Geometric prefactor of the direct sum for (arrays of) triples."""
-    if h2_mode == "gosper":
-        return geometric_prefactor(l1, l2, l3, tables.C, tables.v,
-                                   l_min=tables.l_min)
-    if h2_mode == "exact":
-        return h2_exact(l1, l2, l3) / _z_denominator(
-            l1, l2, l3, tables.C, tables.v, tables.l_min)
-    raise ValueError(f"unknown h2_mode {h2_mode!r}")
+    return _h2_function(h2_mode)(l1, l2, l3) / _z_denominator(
+        l1, l2, l3, tables.C, tables.v, tables.l_min)
 
 
 def radial_integral_x(l1: int, l2: int, l3: int, n_prime: int,
@@ -115,9 +120,10 @@ def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
 
 
 def _sweep_chunk(args):
-    (start, stop, tables, mapping, grid, domain, h2_mode, integrator,
-     block) = args
-    wr2 = integration_weights(grid.r, integrator) * grid.r**2
+    """Triples [start, stop) of the domain, accumulated block by block into
+    one matrix.  ``perfbench/tracing.py`` wraps this pool entry point by
+    name."""
+    (start, stop, tables, mapping, wr2, domain, h2_mode, block) = args
     gamma = np.zeros((mapping.n_max, mapping.n_max))
     for b0 in range(start, stop, block):
         b1 = min(b0 + block, stop)
@@ -138,38 +144,46 @@ def gamma3d_matrix(tables: BasisTables, mapping: ModeMapping,
     """Blocked sweep of the flattened triple space.
 
     The space is statically partitioned into contiguous per-worker chunks;
-    each worker accumulates a private partial matrix block by block and
-    the partials are merged once in worker order.  Bitwise reproducible
-    for a fixed (workers, block) pair.  A block whose working arrays would
-    exceed ``MEMORY_BUDGET`` raises MemoryError before any sweep starts.
+    each worker accumulates its own matrix block by block, and these are
+    summed once in worker order.  Bitwise reproducible for a fixed
+    (workers, block) pair.  A ``domain`` whose l range differs from the
+    tables', an unknown ``h2_mode`` or integrator, and a block whose
+    working arrays would exceed ``MEMORY_BUDGET`` are refused before any
+    sweep starts.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
     if domain is None:
         domain = enumerate_domain(tables.l_min, tables.l_max)
+    if (domain.l_min, domain.l_max) != (tables.l_min, tables.l_max):
+        raise ValueError(
+            f"domain covers l {domain.l_min}..{domain.l_max} but the tables "
+            f"cover l {tables.l_min}..{tables.l_max}")
+    _h2_function(h2_mode)
+    wr2 = integration_weights(grid.r, integrator) * grid.r**2
     meta = _base_meta(tables, grid, mapping, "modal3d", integrator,
                       {"h2_mode": h2_mode, "block": block,
                        "workers": workers})
-    plan = make_plan(domain.count, workers)
+    ranges = make_plan(domain.count, workers)
     # live per block: the [p, R, B] q_tilde slices, f and up to three
     # [n_max, R, B] gathers and products of _block_accumulate
-    b = min(block, max(stop - start for start, stop in plan.ranges))
+    b = min(block, max(stop - start for start, stop in ranges))
     need = 8 * tables.n_radial * b * (3 * tables.p_max + 4 * mapping.n_max)
     if need > MEMORY_BUDGET:
         raise MemoryError(
             f"a block of {b} triples needs {need} bytes but the budget "
             f"allows {MEMORY_BUDGET}")
-    jobs = [(start, stop, tables, mapping, grid, domain, h2_mode,
-             integrator, block) for start, stop in plan.ranges]
+    jobs = [(start, stop, tables, mapping, wr2, domain, h2_mode, block)
+            for start, stop in ranges]
     if workers == 1:
-        partial_values = [_sweep_chunk(jobs[0])]
+        partials = [_sweep_chunk(jobs[0])]
     else:
         with get_context("fork").Pool(workers) as pool:
-            partial_values = pool.map(_sweep_chunk, jobs)
-    partials = [GammaMatrix(v, dict(meta)) for v in partial_values]
-    merged = merge_partials(partials)
-    merged.meta = meta
-    return merged
+            partials = pool.map(_sweep_chunk, jobs)
+    values = partials[0]
+    for part in partials[1:]:
+        values += part
+    return GammaMatrix(values, meta)
 
 
 def gamma3d_naive(tables: BasisTables, mapping: ModeMapping,

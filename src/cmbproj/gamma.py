@@ -1,4 +1,5 @@
-"""Dense projection-matrix container shared by both engines."""
+"""What both engines share: the dense projection-matrix container, the
+provenance ``meta`` builder and the memory budget."""
 
 from __future__ import annotations
 
@@ -32,12 +33,6 @@ class GammaMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
-
-    def same_inputs(self, other: "GammaMatrix") -> bool:
-        """True when shapes and input fingerprints agree."""
-        keys = ("tables", "grid", "mapping")
-        return self.shape == other.shape and all(
-            self.meta.get(k) == other.meta.get(k) for k in keys)
 
 
 def _base_meta(tables, grid, mapping, engine, integrator, extra=None):

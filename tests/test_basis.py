@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import cmbproj as cp
-from cmbproj.basis import (MappingFormatError, BasisFormatError,
+from cmbproj.basis import (MappingFormatError, BasisFormatError, _sha256,
                            load_basis, radial_peak_weight, save_basis)
 
 
@@ -154,6 +155,34 @@ class TestSynthesizeBasis:
         t, grid = tables
         w = radial_peak_weight(grid.r)
         assert np.allclose(t.q_tilde[2, :, 5], t.q[2, 5] * w, rtol=1e-15)
+
+
+class TestFingerprint:
+    @staticmethod
+    def _tobytes_digest(t):
+        return _sha256(t.q.tobytes(), t.q_tilde.tobytes(), t.C.tobytes(),
+                       t.v.tobytes(), np.int64([t.l_min, t.l_max]).tobytes())
+
+    def test_matches_tobytes_for_any_input_layout(self, tables):
+        t, _ = tables
+        # Fortran order, a transposed view and a strided view
+        q_tilde = np.ascontiguousarray(t.q_tilde.transpose(2, 1, 0))
+        other = cp.BasisTables(q=np.asfortranarray(t.q),
+                               q_tilde=q_tilde.transpose(2, 1, 0),
+                               C=np.repeat(t.C, 2)[::2], v=t.v,
+                               l_min=t.l_min, l_max=t.l_max)
+        assert other.fingerprint() == self._tobytes_digest(t)
+        assert t.fingerprint() == self._tobytes_digest(t)
+
+    def test_hashes_without_copying_tables(self):
+        t = cp.synthesize_basis(4, 2, 40, cp.default_radial_grid(1768))
+        tracemalloc.start()
+        try:
+            t.fingerprint()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * t.q_tilde.nbytes
 
 
 class TestBasisFile:

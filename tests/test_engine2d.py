@@ -55,8 +55,8 @@ class TestPTable:
     def test_shape(self, desk):
         pt = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
         L = desk.l_max - desk.l_min + 1
-        assert pt.values.shape == (desk.p_max, desk.p_max,
-                                   len(desk.grid), desk.rule.n)
+        assert pt.shape == (desk.p_max, desk.p_max,
+                            len(desk.grid), desk.rule.n)
         assert L == 15
 
     def test_matches_direct_sum(self, desk):
@@ -66,7 +66,7 @@ class TestPTable:
         pl = desk.legendre[t.l_min:t.l_max + 1]
         for a, b, x, m in [(0, 0, 0, 0), (1, 2, 10, 5), (2, 1, 53, 26)]:
             direct = float(np.sum(lw * t.q[a] * t.q_tilde[b, x] * pl[:, m]))
-            assert pt.values[a, b, x, m] == pytest.approx(direct, rel=1e-12)
+            assert pt[a, b, x, m] == pytest.approx(direct, rel=1e-12)
 
     def test_budget_enforced(self, desk):
         with pytest.raises(MemoryError):
@@ -82,12 +82,12 @@ class TestPTable:
                                    cp.legendre_table(desk.l_max, rule))
         with pytest.raises(ValueError, match=">= 25"):
             build(24)
-        assert build(25).values.shape[-1] == 25
+        assert build(25).shape[-1] == 25
 
     def test_deterministic(self, desk):
         a = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
         b = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 class TestEntry:
@@ -110,15 +110,6 @@ class TestEntry:
                                        desk.grid, desk.rule, desk.legendre,
                                        integrator=integrator)
         assert fast == pytest.approx(naive, rel=1e-12)
-
-    def test_precomputed_radial_weights(self, desk):
-        from cmbproj.quadrature import integration_weights
-        pt = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
-        w = integration_weights(desk.grid.r, "trap")
-        a = cp.gamma2d_entry(1, 4, pt, desk.mapping, desk.grid, desk.rule,
-                             radial_weights=w)
-        b = cp.gamma2d_entry(1, 4, pt, desk.mapping, desk.grid, desk.rule)
-        assert a == b
 
 
 class TestMatrix:
@@ -145,6 +136,17 @@ class TestMatrix:
         assert g.meta["n_mu"] == desk.rule.n
         assert g.meta["tables"] == desk.tables.fingerprint()
 
+    def test_unknown_integrator_refused_before_pool(self, desk,
+                                                    monkeypatch):
+        import cmbproj.engine2d as e2
+        def refuse(*args, **kwargs):
+            raise AssertionError("pool started")
+        monkeypatch.setattr(e2, "get_context", refuse)
+        with pytest.raises(ValueError, match="integrator"):
+            cp.gamma2d_matrix(desk.tables, desk.mapping, desk.grid,
+                              desk.rule, desk.legendre, integrator="bogus",
+                              workers=2)
+
     def test_nonzero_and_finite(self, desk):
         g = cp.gamma2d_matrix(desk.tables, desk.mapping, desk.grid,
                               desk.rule, desk.legendre)
@@ -160,7 +162,7 @@ class TestRowSweep:
         pr = Problem(l_min=2, l_max=10, p_max=p_max, n_r=40)
         pt = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
         g = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
-                              pr.legendre, integrator=integrator, ptable=pt)
+                              pr.legendre, integrator=integrator)
         n_max = pr.mapping.n_max
         cells = np.array([[cp.gamma2d_entry(n, n_prime, pt, pr.mapping,
                                             pr.grid, pr.rule, integrator)
@@ -196,8 +198,8 @@ class TestRowSweep:
         for n_r in (216, 1768):
             pr = Problem(l_min=2, l_max=40, p_max=4, n_r=n_r)
             pt = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
-            job = (0, pr.mapping.n_max, pt, pr.mapping, pr.grid, pr.rule,
-                   "spline")
+            wr2 = cp.integration_weights(pr.grid.r, "spline") * pr.grid.r**2
+            job = (0, pr.mapping.n_max, pt, pr.mapping, pr.rule, wr2)
             tracemalloc.start()
             try:
                 _cells_chunk(job)

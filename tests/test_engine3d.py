@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cmbproj as cp
+from conftest import Problem
 
 
 def relative_gap(a, b):
@@ -91,6 +92,44 @@ class TestBlockedVsNaive:
     def test_rejects_bad_block(self, desk):
         with pytest.raises(ValueError):
             cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid, block=0)
+
+
+class TestRefusedInParent:
+    """Bad arguments raise before the meta or any worker pool exists."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        import cmbproj.engine3d as e3
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached the meta or the pool")
+        monkeypatch.setattr(e3, "get_context", refuse)
+        monkeypatch.setattr(e3, "_base_meta", refuse)
+
+    @pytest.mark.parametrize("lo,hi", [(2, 16), (4, 20), (6, 16)])
+    def test_domain_outside_table_range(self, no_pool, lo, hi):
+        # l_min 2 used to wrap to the tables' last rows (a matrix 37% of
+        # scale off); l_max 20 raised a bare IndexError
+        pr = Problem(l_min=4, l_max=16, p_max=2, n_r=30)
+        with pytest.raises(ValueError, match="domain covers"):
+            cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid, workers=2,
+                              domain=cp.enumerate_domain(lo, hi))
+
+    def test_unknown_h2_mode(self, desk, no_pool):
+        with pytest.raises(ValueError, match="h2_mode"):
+            cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
+                              h2_mode="bogus", workers=2)
+
+    def test_unknown_integrator(self, desk, no_pool):
+        with pytest.raises(ValueError, match="integrator"):
+            cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
+                              integrator="bogus", workers=2)
+
+    def test_matching_domain_accepted(self, desk):
+        domain = cp.enumerate_domain(desk.l_min, desk.l_max)
+        a = cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
+                              domain=domain)
+        b = cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid)
+        assert np.array_equal(a.values, b.values)
 
 
 class TestOrderedEnumeration:

@@ -1,29 +1,24 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmbproj as cp
-from cmbproj.gamma import GammaMatrix
 
 
 class TestMakePlan:
     def test_even_split(self):
-        plan = cp.make_plan(12, 4)
-        assert plan.ranges == ((0, 3), (3, 6), (6, 9), (9, 12))
+        assert cp.make_plan(12, 4) == ((0, 3), (3, 6), (6, 9), (9, 12))
 
     def test_remainder_goes_first(self):
-        plan = cp.make_plan(10, 4)
         # 10 = 3 + 3 + 2 + 2: the first N mod W chunks get the ceiling
-        assert plan.ranges == ((0, 3), (3, 6), (6, 8), (8, 10))
+        assert cp.make_plan(10, 4) == ((0, 3), (3, 6), (6, 8), (8, 10))
 
     def test_more_workers_than_items(self):
-        plan = cp.make_plan(2, 5)
-        sizes = [b - a for a, b in plan.ranges]
+        sizes = [b - a for a, b in cp.make_plan(2, 5)]
         assert sum(sizes) == 2
         assert all(s >= 0 for s in sizes)
 
     def test_single_worker(self):
-        assert cp.make_plan(7, 1).ranges == ((0, 7),)
+        assert cp.make_plan(7, 1) == ((0, 7),)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -34,8 +29,7 @@ class TestMakePlan:
     @given(st.integers(0, 10**6), st.integers(1, 256))
     @settings(max_examples=200)
     def test_cover_disjoint_balanced(self, total, workers):
-        plan = cp.make_plan(total, workers)
-        ranges = plan.ranges
+        ranges = cp.make_plan(total, workers)
         assert len(ranges) == workers
         # contiguous cover: each chunk starts where the previous stopped
         assert ranges[0][0] == 0 and ranges[-1][1] == total
@@ -46,39 +40,3 @@ class TestMakePlan:
         # the larger chunks come first
         assert sizes == sorted(sizes, reverse=True)
 
-
-def _gamma(values, workers=1):
-    meta = {"engine": "test", "tables": "t", "grid": "g", "mapping": "m",
-            "workers": workers}
-    return GammaMatrix(np.asarray(values, dtype=np.float64), meta)
-
-
-class TestMergePartials:
-    def test_sums_in_order(self):
-        parts = [_gamma([[1.0, 2.0]]), _gamma([[10.0, 20.0]]),
-                 _gamma([[100.0, 200.0]])]
-        merged = cp.merge_partials(parts)
-        assert merged.values.tolist() == [[111.0, 222.0]]
-        assert merged.meta["workers_merged"] == 3
-
-    def test_fixed_order_determinism(self):
-        rng = np.random.default_rng(5)
-        parts = [_gamma(rng.standard_normal((4, 4))) for _ in range(8)]
-        a = cp.merge_partials(parts).values
-        b = cp.merge_partials([_gamma(p.values.copy()) for p in parts]).values
-        assert np.array_equal(a, b)
-
-    def test_rejects_mismatched_inputs(self):
-        a = _gamma([[1.0]])
-        b = _gamma([[1.0]])
-        b.meta["tables"] = "other"
-        with pytest.raises(ValueError):
-            cp.merge_partials([a, b])
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            cp.merge_partials([_gamma([[1.0]]), _gamma([[1.0, 2.0]])])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            cp.merge_partials([])

@@ -1,14 +1,20 @@
-"""The names perfbench/tracing.py patches exist in cmbproj, so a rename
-fails here instead of breaking a traced benchmark run (``--trace 1``)."""
+"""The names perfbench/tracing.py patches and the calls
+perfbench/workloads.py makes exist in cmbproj, so a rename or a removed
+keyword fails here instead of breaking a benchmark run."""
 
 import ast
 import importlib
+import inspect
 import multiprocessing
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+import cmbproj
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _constant(name):
@@ -36,3 +42,30 @@ def test_worker_entry_is_callable(layer, name):
 def test_engine_imports_get_context(layer):
     module = importlib.import_module(f"cmbproj.{layer}")
     assert module.get_context is multiprocessing.get_context
+
+
+def _cp_calls():
+    """name -> call nodes of every ``cp.<name>(...)`` in workloads.py."""
+    calls = {}
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "cp"):
+            calls.setdefault(node.func.attr, []).append(node)
+    return calls
+
+
+CP_CALLS = _cp_calls()
+
+
+@pytest.mark.parametrize("name", sorted(CP_CALLS))
+def test_workload_calls_fit_signature(name):
+    assert hasattr(cmbproj, name), f"cmbproj.{name} is gone"
+    signature = inspect.signature(getattr(cmbproj, name))
+    for call in CP_CALLS[name]:
+        args = [None] * sum(not isinstance(a, ast.Starred)
+                            for a in call.args)
+        kwargs = dict.fromkeys(k.arg for k in call.keywords if k.arg)
+        # TypeError for an unknown keyword or too many positional args
+        signature.bind_partial(*args, **kwargs)
