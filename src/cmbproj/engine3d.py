@@ -6,9 +6,13 @@ primordial product x(n').  The optimized sweep processes blocks of B
 consecutive flattened triples, filling a late-time factor block P and a
 primordial factor block X (multiplicity and z folded into X) and
 accumulating the matrix as P X^T -- the blocked two-matrix reduction.
-Each worker sweeps one contiguous chunk of triples into its own matrix,
-and the parent sums these in worker order.  The naive path keeps the original loop structure (primordial mode outer,
-triple loops, inner late-mode accumulation) and is the permanent oracle.
+The matrix is linear in the radial weights w_r r^2, so one sweep takes
+K integrators' weights as a [K, R] stack and fills K matrices from the
+same primordial products.  Each worker sweeps one contiguous chunk of
+triples into its own matrices, and the parent sums these in worker
+order.  The naive path keeps the original loop structure (primordial
+mode outer, triple loops, inner late-mode accumulation) and is the
+permanent oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "radial_integral_x",
     "late_product_y",
     "gamma3d_matrix",
+    "gamma3d_matrices",
     "gamma3d_naive",
     "gamma3d_unordered_reference",
     "DEFAULT_BLOCK",
@@ -86,11 +91,12 @@ def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
                       mapping: ModeMapping, wr2: np.ndarray,
                       l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
                       zm: np.ndarray) -> None:
-    """Accumulate one triple block: gamma += P X^T.
+    """Accumulate one triple block: gamma[k] += P X_k^T for each of the K
+    rows of the radial weights ``wr2`` [K, R].
 
-    P[n, t] is the symmetrised late product, X[n', t] the radially
-    integrated symmetrised primordial product scaled by zm (prefactor
-    times permutation multiplicity).
+    P[n, t] is the symmetrised late product, X_k[n', t] the symmetrised
+    primordial product integrated with weights k and scaled by zm
+    (prefactor times permutation multiplicity).
     """
     i1 = l1 - tables.l_min
     i2 = l2 - tables.l_min
@@ -113,18 +119,18 @@ def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
     f = np.zeros((mapping.n_max, tables.n_radial, len(l1)))
     for a, b, c in _PERMS3:
         f += qt1[cols[a]] * qt2[cols[b]] * qt3[cols[c]]
-    x_blk = np.einsum("r,nrb->nb", wr2, f)
-    x_blk *= zm
-
-    gamma += p_blk @ x_blk.T
+    for k, w in enumerate(wr2):
+        x_blk = np.einsum("r,nrb->nb", w, f)
+        x_blk *= zm
+        gamma[k] += p_blk @ x_blk.T
 
 
 def _sweep_chunk(args):
     """Triples [start, stop) of the domain, accumulated block by block into
-    one matrix.  ``perfbench/tracing.py`` wraps this pool entry point by
+    K matrices.  ``perfbench/tracing.py`` wraps this pool entry point by
     name."""
     (start, stop, tables, mapping, wr2, domain, h2_mode, block) = args
-    gamma = np.zeros((mapping.n_max, mapping.n_max))
+    gamma = np.zeros((len(wr2), mapping.n_max, mapping.n_max))
     for b0 in range(start, stop, block):
         b1 = min(b0 + block, stop)
         l1 = domain.l1[b0:b1]
@@ -136,20 +142,22 @@ def _sweep_chunk(args):
     return gamma
 
 
-def gamma3d_matrix(tables: BasisTables, mapping: ModeMapping,
-                   grid: RadialGrid, h2_mode: str = "gosper",
-                   integrator: str = "trap", block: int = DEFAULT_BLOCK,
-                   workers: int = 1,
-                   domain: TriangularDomain | None = None) -> GammaMatrix:
-    """Blocked sweep of the flattened triple space.
+def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
+                     grid: RadialGrid, h2_mode: str = "gosper",
+                     integrators: tuple[str, ...] = tuple(INTEGRATORS),
+                     block: int = DEFAULT_BLOCK, workers: int = 1,
+                     domain: TriangularDomain | None = None
+                     ) -> list[GammaMatrix]:
+    """Blocked sweep of the flattened triple space, one matrix for each of
+    ``integrators`` from a single pass over the triples.
 
     The space is statically partitioned into contiguous per-worker chunks;
-    each worker accumulates its own matrix block by block, and these are
+    each worker accumulates its own matrices block by block, and these are
     summed once in worker order.  Bitwise reproducible for a fixed
     (workers, block) pair.  A ``domain`` whose l range differs from the
-    tables', an unknown ``h2_mode`` or integrator, and a block whose
-    working arrays would exceed ``MEMORY_BUDGET`` are refused before any
-    sweep starts.
+    tables', an unknown ``h2_mode``, no or an unknown integrator, and a
+    block whose working arrays would exceed ``MEMORY_BUDGET`` are refused
+    before any sweep starts.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
@@ -160,8 +168,11 @@ def gamma3d_matrix(tables: BasisTables, mapping: ModeMapping,
             f"domain covers l {domain.l_min}..{domain.l_max} but the tables "
             f"cover l {tables.l_min}..{tables.l_max}")
     _h2_function(h2_mode)
-    wr2 = integration_weights(grid.r, integrator) * grid.r**2
-    meta = _base_meta(tables, grid, mapping, "modal3d", integrator,
+    if not integrators:
+        raise ValueError("need at least one integrator")
+    wr2 = np.stack([integration_weights(grid.r, name) * grid.r**2
+                    for name in integrators])
+    meta = _base_meta(tables, grid, mapping, "modal3d", None,
                       {"h2_mode": h2_mode, "block": block,
                        "workers": workers})
     ranges = make_plan(domain.count, workers)
@@ -183,7 +194,18 @@ def gamma3d_matrix(tables: BasisTables, mapping: ModeMapping,
     values = partials[0]
     for part in partials[1:]:
         values += part
-    return GammaMatrix(values, meta)
+    return [GammaMatrix(v, dict(meta, integrator=name))
+            for name, v in zip(integrators, values)]
+
+
+def gamma3d_matrix(tables: BasisTables, mapping: ModeMapping,
+                   grid: RadialGrid, h2_mode: str = "gosper",
+                   integrator: str = "trap", block: int = DEFAULT_BLOCK,
+                   workers: int = 1,
+                   domain: TriangularDomain | None = None) -> GammaMatrix:
+    """The one-integrator :func:`gamma3d_matrices`, with its refusals."""
+    return gamma3d_matrices(tables, mapping, grid, h2_mode, (integrator,),
+                            block, workers, domain)[0]
 
 
 def gamma3d_naive(tables: BasisTables, mapping: ModeMapping,

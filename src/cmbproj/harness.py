@@ -18,7 +18,7 @@ import numpy as np
 from .basis import (default_mode_mapping, default_radial_grid,
                     load_mode_mapping, synthesize_basis)
 from .engine2d import default_mu_points, gamma2d_matrix, min_mu_points
-from .engine3d import gamma3d_matrix
+from .engine3d import gamma3d_matrices, gamma3d_matrix
 from .gamma import GammaMatrix
 from .geometry import enumerate_domain, h2_exact, h2_gosper
 from .quadrature import INTEGRATORS, gauss_legendre, legendre_table
@@ -360,32 +360,27 @@ def run_convergence_study(config: RunConfig,
     """Integrator accuracy study against the dense-spline gold standard.
 
     The gold standard is the direct engine with the spline integrator on
-    the densest grid; each (integrator, point count) pair reports its
-    percentage RMSE against gold and its wall time.  The gold pair itself
-    reuses the gold matrix and its measured time.
+    the densest grid.  One sweep per distinct point count fills the
+    matrices of all three integrators; each (integrator, point count) pair
+    reports its percentage RMSE against gold, and ``seconds`` is the wall
+    time of its point count's shared sweep, set-up included.
     """
     config.validate()
-
-    def timed_matrix(integrator, n_r):
+    sweeps = {}
+    for n_r in dict.fromkeys((GOLD_R, *ladder)):
         t0 = time.perf_counter()
-        cfg = replace(config, mode="gamma3d", integrator=integrator,
-                      r_samples=n_r)
-        tables, mapping, grid = _problem(cfg)
-        g = gamma3d_matrix(tables, mapping, grid, h2_mode=config.h2_mode,
-                           integrator=integrator, block=config.block,
-                           workers=config.workers)
-        return g, time.perf_counter() - t0
-
-    gold = timed_matrix("spline", GOLD_R)
-    rows = []
-    for integrator in INTEGRATOR_NAMES:
-        for n_r in ladder:
-            g, dt = (gold if (integrator, n_r) == ("spline", GOLD_R)
-                     else timed_matrix(integrator, n_r))
-            rows.append({"integrator": integrator, "r_samples": n_r,
-                         "rmse_percent": rmse_percent(g, gold[0]),
-                         "seconds": dt})
-    return rows
+        tables, mapping, grid = _problem(replace(config, r_samples=n_r))
+        matrices = gamma3d_matrices(
+            tables, mapping, grid, h2_mode=config.h2_mode,
+            integrators=INTEGRATOR_NAMES, block=config.block,
+            workers=config.workers)
+        sweeps[n_r] = (dict(zip(INTEGRATOR_NAMES, matrices)),
+                       time.perf_counter() - t0)
+    gold = sweeps[GOLD_R][0]["spline"]
+    return [{"integrator": integrator, "r_samples": n_r,
+             "rmse_percent": rmse_percent(sweeps[n_r][0][integrator], gold),
+             "seconds": sweeps[n_r][1]}
+            for integrator in INTEGRATOR_NAMES for n_r in ladder]
 
 
 def write_rows_csv(rows: list[dict], config: RunConfig, path) -> None:

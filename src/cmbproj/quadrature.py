@@ -14,7 +14,7 @@ re-association and correctly rounded; they are the oracles for the
 engines' weight vectors, which ``integration_weights`` builds in closed
 form in O(R): trapezium weights from the interval widths, the Hermite
 correction as a linear form in the secant slopes, and the spline
-correction from one banded solve with the moment matrix.
+correction from one tridiagonal solve with the moment matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 __all__ = [
     "QuadratureRule",
@@ -149,20 +148,24 @@ def integrate_hermite(r, y) -> float:
     return math.fsum(terms)
 
 
-def _moment_bands(h: np.ndarray) -> np.ndarray:
-    """Banded (1, 1) form of the natural-spline moment matrix A for the
-    interval widths h: A m = B y, with B the second-difference operator
-    6 [(y_{k+1} - y_k)/h_k - (y_k - y_{k-1})/h_{k-1}] on interior rows and
-    the natural end conditions m_0 = m_{n-1} = 0."""
-    n = len(h) + 1
-    ab = np.zeros((3, n))
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[1, 1:-1] = 2.0 * (h[:-1] + h[1:])
-    ab[0, 1] = 0.0
-    ab[0, 2:] = h[1:]
-    ab[2, :-2] = h[:-1]
-    ab[2, -2] = 0.0
-    return ab
+def _moment_solve(h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A m = b (b = B y, B the second differences of
+    ``_natural_spline_moments``, ends zero) for the natural-spline moment
+    matrix A of the widths h: interior rows h_{k-1} m_{k-1} + 2 (h_{k-1} +
+    h_k) m_k + h_k m_{k+1}, end rows m_0 = m_{n-1} = 0.  The interior block
+    is symmetric and strictly diagonally dominant, so a Thomas sweep needs
+    no pivoting."""
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    off = h[1:-1].tolist()
+    x = b[1:-1].tolist()
+    for k in range(1, len(diag)):
+        f = off[k - 1] / diag[k - 1]
+        diag[k] -= f * off[k - 1]
+        x[k] -= f * x[k - 1]
+    x[-1] /= diag[-1]
+    for k in range(len(diag) - 2, -1, -1):
+        x[k] = (x[k] - off[k] * x[k + 1]) / diag[k]
+    return np.concatenate(([0.0], x, [0.0]))
 
 
 def _natural_spline_moments(r, y) -> np.ndarray:
@@ -171,7 +174,7 @@ def _natural_spline_moments(r, y) -> np.ndarray:
     h = np.diff(r)
     rhs = np.zeros(n)
     rhs[1:-1] = 6.0 * ((y[2:] - y[1:-1]) / h[1:] - (y[1:-1] - y[:-2]) / h[:-1])
-    return solve_banded((1, 1), _moment_bands(h), rhs)
+    return _moment_solve(h, rhs)
 
 
 def integrate_spline(r, y) -> float:
@@ -223,7 +226,7 @@ def _spline_weights(dr: np.ndarray) -> np.ndarray:
     is symmetric and its end rows do not couple back into it."""
     c = np.zeros(len(dr) + 1)
     c[1:-1] = (dr[:-1] ** 3 + dr[1:] ** 3) / 24.0
-    v = 6.0 * solve_banded((1, 1), _moment_bands(dr), c)[1:-1]
+    v = 6.0 * _moment_solve(dr, c)[1:-1]
     fwd = v / dr[1:]
     back = v / dr[:-1]
     w = _trapezium_weights(dr)
@@ -247,8 +250,8 @@ def integration_weights(r, method: str = "trap") -> np.ndarray:
     fixed grid is a dot product.  The weights are built in closed form in
     O(R) from the interval widths: the trapezium puts half of each width
     on either end of its interval, Hermite adds the linear form of its
-    secant-slope correction and spline subtracts B^T u from one banded
-    solve A^T u = c.  The oracle tests check them against the
+    secant-slope correction and spline subtracts B^T u from one
+    tridiagonal solve A^T u = c.  The oracle tests check them against the
     ``math.fsum`` integrators.
     """
     r = np.asarray(r, dtype=np.float64)

@@ -124,12 +124,56 @@ class TestRefusedInParent:
             cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
                               integrator="bogus", workers=2)
 
+    @pytest.mark.parametrize("integrators", [
+        (), ("bogus",), ("trap", "bogus"), ("trap", "hermite", "simpson")])
+    def test_no_or_unknown_integrator_in_stack(self, desk, no_pool,
+                                               integrators):
+        with pytest.raises(ValueError, match="integrator"):
+            cp.gamma3d_matrices(desk.tables, desk.mapping, desk.grid,
+                                integrators=integrators, workers=2)
+
     def test_matching_domain_accepted(self, desk):
         domain = cp.enumerate_domain(desk.l_min, desk.l_max)
         a = cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
                               domain=domain)
         b = cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid)
         assert np.array_equal(a.values, b.values)
+
+
+STACK = ("trap", "hermite", "spline")
+
+
+class TestStackedIntegrators:
+    """One sweep for several integrators gives each one's own matrix."""
+
+    @pytest.mark.parametrize("h2_mode", ["gosper", "exact"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_matches_single_integrator(self, desk, h2_mode, workers, block):
+        stacked = cp.gamma3d_matrices(desk.tables, desk.mapping, desk.grid,
+                                      h2_mode, STACK, block, workers)
+        for name, g in zip(STACK, stacked):
+            single = cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
+                                       h2_mode, name, block, workers)
+            assert relative_gap(g.values, single.values) <= 1e-15
+            assert g.meta == single.meta
+
+    @pytest.mark.parametrize("h2_mode", ["gosper", "exact"])
+    def test_matches_naive(self, h2_mode):
+        pr = Problem(l_min=2, l_max=8, p_max=3, n_r=30)
+        stacked = cp.gamma3d_matrices(pr.tables, pr.mapping, pr.grid,
+                                      h2_mode, STACK, block=7, workers=2)
+        for name, g in zip(STACK, stacked):
+            naive = cp.gamma3d_naive(pr.tables, pr.mapping, pr.grid,
+                                     h2_mode, name)
+            assert relative_gap(g.values, naive.values) < 1e-12
+
+    def test_bitwise_reproducible(self, desk):
+        a, b = (cp.gamma3d_matrices(desk.tables, desk.mapping, desk.grid,
+                                    integrators=STACK, block=16, workers=3)
+                for _ in range(2))
+        for x, y in zip(a, b):
+            assert np.array_equal(x.values, y.values)
 
 
 class TestOrderedEnumeration:

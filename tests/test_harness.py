@@ -272,24 +272,28 @@ class TestRunModes:
     def test_convergence_reuses_gold(self, monkeypatch):
         import cmbproj.harness as harness
         calls = []
-        real = harness.gamma3d_matrix
+        real = harness.gamma3d_matrices
         def counting(*args, **kwargs):
-            calls.append(kwargs["integrator"])
+            calls.append((len(args[2]), kwargs["integrators"]))
             return real(*args, **kwargs)
-        monkeypatch.setattr(harness, "gamma3d_matrix", counting)
+        monkeypatch.setattr(harness, "gamma3d_matrices", counting)
+        monkeypatch.setattr(harness, "gamma3d_matrix", None)
         cfg = cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2,
                            mu_points=13)
         rows = cp.run_convergence_study(cfg)
-        # gold plus 3 x 6 rows, the (spline, GOLD_R) row reusing gold
-        assert len(calls) == 18
+        # one three-integrator sweep per distinct R, gold's R first
+        assert [n for n, _ in calls] == [1768, 54, 108, 216, 432, 864]
+        assert all(i == ("trap", "hermite", "spline") for _, i in calls)
         gold = [r for r in rows if r["integrator"] == "spline"
                 and r["r_samples"] == harness.GOLD_R]
         assert len(gold) == 1 and gold[0]["rmse_percent"] == 0.0
-        assert gold[0]["seconds"] > 0
+        for n_r in harness.CONVERGENCE_LADDER:
+            seconds = {r["seconds"] for r in rows if r["r_samples"] == n_r}
+            assert len(seconds) == 1 and seconds.pop() > 0
         calls.clear()
         ladder = (30, 60)
         cp.run_convergence_study(cfg, ladder=ladder)
-        assert len(calls) == 1 + 3 * len(ladder)
+        assert [n for n, _ in calls] == [harness.GOLD_R, *ladder]
 
     def test_write_rows_csv(self, tmp_path):
         cfg = cp.RunConfig(mode="convergence")

@@ -205,3 +205,56 @@ class TestIntegrationWeights:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown integrator"):
             integration_weights(np.arange(5.0), "simpson")
+
+
+def _moment_matrix(h):
+    """Dense natural-spline moment matrix of the interval widths h."""
+    n = len(h) + 1
+    a = np.eye(n)
+    for k in range(1, n - 1):
+        a[k, k - 1:k + 2] = h[k - 1], 2.0 * (h[k - 1] + h[k]), h[k]
+    return a
+
+
+class TestMomentSolve:
+    @pytest.mark.parametrize("r", [
+        np.array([0.0, 1.0, 3.0, 6.0]),
+        np.array([0.0, 0.1, 0.7, 2.0, 2.2]),
+        cp.default_radial_grid(12).r,
+        cp.default_radial_grid(54).r,
+        cp.default_radial_grid(216).r], ids=["R4", "R5", "R12", "R54", "R216"])
+    def test_matches_dense_solve(self, r):
+        from cmbproj.quadrature import _moment_solve
+        h = np.diff(r)
+        rng = np.random.default_rng(len(r))
+        b = np.zeros(len(r))
+        b[1:-1] = rng.standard_normal(len(r) - 2)
+        got = _moment_solve(h, b)
+        ref = np.linalg.solve(_moment_matrix(h), b)
+        assert got[0] == got[-1] == 0.0
+        # the pivoted dense LU itself rounds up to ~1.2e-13 of scale off
+        # on the 12-point grid, whose widths jump from 4417 to 300
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_r", [54, 1768])
+    def test_spline_matches_scipy_cubic_spline(self, n_r):
+        r = cp.default_radial_grid(n_r).r
+        rng = np.random.default_rng(n_r)
+        for _ in range(3):
+            y = rng.standard_normal(n_r)
+            ref = CubicSpline(r, y, bc_type="natural").integrate(r[0], r[-1])
+            assert cp.integrate_spline(r, y) == pytest.approx(ref, rel=1e-12)
+
+    def test_import_loads_no_scipy(self):
+        # the package needs numpy only; scipy is a test dependency
+        import os
+        import subprocess
+        import sys
+        src = os.path.dirname(os.path.dirname(cp.__file__))
+        code = ("import sys, cmbproj, cmbproj.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
