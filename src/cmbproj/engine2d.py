@@ -3,13 +3,16 @@
 The triple multipole sum collapses into products of 1D resummations
 P[a,b](r, mu) once the geometric weight is written as a Legendre-product
 integral over mu.  The fast path precomputes P for every (basis pair,
-radial point, quadrature node) and sweeps the matrix row by row: for row
-n = (i, j, k), batched GEMMs over fixed slabs of radial points integrate
-P[i,b1] P[j,b2] P[k,b3] over mu first, then radially, into T[n, b].  The
-six-term permanent of each entry is then one product with the counts S
-of the column permutations, Gamma = T S^T / 48 pi.  The naive path
-recomputes the multipole sums per entry, exactly like the original
-hotspot, and is kept permanently as the oracle for the table path.
+radial point, quadrature node) and sweeps the rows of the mapping by
+their (i, j) pair: over fixed slabs of radial points, each pair's
+factor P[i,b1] P[j,b2] is contracted with the weighted P[k,b3] of every
+k that pair has, summing r and mu together in one GEMM over a folded
+(r, mu) axis, into T[n, b].  The six-term permanent of each entry is
+then one product with the counts S of the column permutations,
+Gamma = T S^T / 48 pi.  The single-entry path integrates mu first, then
+r.  The naive path recomputes the multipole sums per entry, exactly
+like the original hotspot, and is kept permanently as the oracle for
+the table path.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
     "gamma2d_matrix_naive",
 ]
 
-_SLAB = 16   # radial points per batched GEMM: bounds temporaries for any R
+_FOLD = 3072   # (r, mu) points per radial slab: bounds temporaries for any R
 
 # The mu integrand is a product of three Legendre expansions of degree
 # <= l_max, so an n-node rule with 2n-1 >= 3*l_max is exact.
@@ -106,7 +109,8 @@ def gamma2d_entry(n: int, n_prime: int, ptable: np.ndarray,
 
     The mu integral is evaluated first at every radial point, then the
     radial integral of r^2 I(r) is taken with the selected rule; this
-    ordering is structural, there is no reordered fast path.
+    ordering is structural here, while ``gamma2d_matrix`` sums (r, mu)
+    in one GEMM.
     """
     rows = mapping.triple(n)
     cols = mapping.triple(n_prime)
@@ -143,46 +147,85 @@ def gamma2d_entry_naive(n: int, n_prime: int, tables: BasisTables,
     return float((grid.r**2 * inner) @ w / (48.0 * np.pi))
 
 
-def _cells_chunk(args):
-    """Rows [start, stop) of T, one batched GEMM per row and radial slab;
-    the same operations in any chunk.  ``perfbench/tracing.py`` wraps this
-    pool entry point by name."""
-    (start, stop, pv, mapping, rule, wr2) = args
-    p, n_mu = pv.shape[0], rule.n
-    out = np.zeros((stop - start, p**3))
-    for row, (i, j, k) in enumerate(mapping.entries[start:stop]):
-        for x0 in range(0, wr2.size, _SLAB):
-            xs = slice(x0, x0 + _SLAB)
-            pi = pv[i, :, xs].transpose(1, 0, 2)                # [X, p, n_mu]
-            pj = pv[j, :, xs].transpose(1, 0, 2)
-            left = (pi[:, :, None] * pj[:, None]).reshape(-1, p * p, n_mu)
-            right = (pv[k, :, xs] * rule.weights).transpose(1, 2, 0)
-            out[row] += wr2[xs] @ (left @ right).reshape(-1, p**3)
-    return out
+# the sweep's inputs in a pool worker, set by ``_share_inputs``
+_shared: dict = {}
+
+
+def _share_inputs(ptable, weights):
+    """Pool initializer: the P table and the folded weights w_r r^2 w_mu
+    [R * n_mu] reach forked workers through fork, not through a pickle."""
+    _shared["pv"], _shared["w"] = ptable, weights
+
+
+def _pair_groups(mapping: ModeMapping):
+    """The rows of each distinct (i, j), in order of first appearance:
+    ((i, j, rows, ks), ...) with the rows and their k in mapping order."""
+    groups: dict = {}
+    for row, (i, j, k) in enumerate(mapping.entries.tolist()):
+        rows, ks = groups.setdefault((i, j), ([], []))
+        rows.append(row)
+        ks.append(k)
+    return tuple((i, j, tuple(rows), tuple(ks))
+                 for (i, j), (rows, ks) in groups.items())
+
+
+def _sweep(groups, pv, w):
+    """Rows of T for some (i, j) groups, from the P table ``pv`` and the
+    folded weights ``w``.  Per radial slab, one GEMM per group contracts
+    P[i,b1] P[j,b2] over the folded (r, mu) axis with the weighted rows
+    w P[k,b3] of every k the group has.  A group's operations are the
+    same in any chunk."""
+    p, _, n_r, n_mu = pv.shape
+    accs = [np.zeros((p * p, len(ks) * p)) for _, _, _, ks in groups]
+    step = max(1, _FOLD // n_mu)
+    for x0 in range(0, n_r, step):
+        f = pv[:, :, x0:x0 + step].reshape(p, p, -1)    # [a, b, X n_mu]
+        ws = w[x0 * n_mu:(x0 + step) * n_mu]
+        for (i, j, _, ks), acc in zip(groups, accs):
+            left = (f[i][:, None] * f[j][None]).reshape(p * p, -1)
+            right = f[list(ks)]
+            right *= ws
+            acc += left @ right.reshape(-1, f.shape[-1]).T
+    return np.concatenate(
+        [acc.reshape(p, p, -1, p).transpose(2, 0, 1, 3).reshape(-1, p**3)
+         for acc in accs] or [np.zeros((0, p**3))])
+
+
+def _cells_chunk(groups):
+    """Pool entry point: ``_sweep`` on the inputs ``_share_inputs`` left
+    in this worker.  ``perfbench/tracing.py`` wraps it by name."""
+    return _sweep(groups, _shared["pv"], _shared["w"])
 
 
 def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
                    grid: RadialGrid, rule: QuadratureRule,
                    legendre: np.ndarray, integrator: str = "trap",
                    workers: int = 1) -> GammaMatrix:
-    """Full matrix via the precomputed-table path, row-parallel.
+    """Full matrix via the precomputed-table path, parallel over the
+    (i, j) groups of the mapping.
 
-    Row-batched and mu-first over radial slabs, with the columns
+    One folded (r, mu) GEMM per group and radial slab, with the columns
     symmetrised once by S (see the module docstring).  Every row is
     computed by the same operations in any chunk, so the result is
     bitwise identical for any worker count.
     """
     wr2 = integration_weights(grid.r, integrator) * grid.r**2
     ptable = build_ptable(tables, grid, rule, legendre)
-    jobs = [(start, stop, ptable, mapping, rule, wr2)
-            for start, stop in make_plan(mapping.n_max, workers)]
+    weights = np.outer(wr2, rule.weights).ravel()
+    groups = _pair_groups(mapping)
     if workers == 1:
-        chunks = [_cells_chunk(j) for j in jobs]
+        chunks = [_sweep(groups, ptable, weights)]
     else:
-        with get_context("fork").Pool(workers) as pool:
+        jobs = [groups[start:stop]
+                for start, stop in make_plan(len(groups), workers)]
+        with get_context("fork").Pool(workers, _share_inputs,
+                                      (ptable, weights)) as pool:
             chunks = pool.map(_cells_chunk, jobs)
+    order = [row for _, _, rows, _ in groups for row in rows]
+    t = np.empty((mapping.n_max, tables.p_max**3))
+    t[order] = np.concatenate(chunks)
     s = _permutation_counts(mapping, tables.p_max)
-    values = np.concatenate(chunks) @ s.T / (48.0 * np.pi)
+    values = t @ s.T / (48.0 * np.pi)
     meta = _base_meta(tables, grid, mapping, "modal2d", integrator,
                       {"n_mu": rule.n, "workers": workers})
     return GammaMatrix(values, meta)

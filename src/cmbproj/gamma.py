@@ -4,6 +4,7 @@ provenance ``meta`` builder and the memory budget."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -35,6 +36,17 @@ class GammaMatrix:
         return self.values.shape
 
 
+@cache
+def _blas() -> str:
+    """name-version of the BLAS numpy was built with, without spaces; the
+    bits of every GEMM depend on it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return "".join(f"{blas['name']}-{blas['version']}".split())
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 def _base_meta(tables, grid, mapping, engine, integrator, extra=None):
     """Provenance ``meta`` shared by every engine and oracle."""
     meta = {
@@ -47,6 +59,7 @@ def _base_meta(tables, grid, mapping, engine, integrator, extra=None):
         "tables": tables.fingerprint(),
         "grid": grid.fingerprint(),
         "mapping": mapping.fingerprint(),
+        "blas": _blas(),
     }
     if extra:
         meta.update(extra)

@@ -1,10 +1,12 @@
+import multiprocessing
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cmbproj as cp
-from cmbproj.engine2d import (_cells_chunk, _l_weight, _permanent3,
+from cmbproj.engine2d import (_l_weight, _pair_groups, _permanent3, _sweep,
                               default_mu_points)
 from conftest import Problem
 
@@ -135,6 +137,24 @@ class TestMatrix:
         assert g.meta["workers"] == 2
         assert g.meta["n_mu"] == desk.rule.n
         assert g.meta["tables"] == desk.tables.fingerprint()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert g.meta["blas"] == f"{blas['name']}-{blas['version']}"
+        assert " " not in g.meta["blas"]
+
+    @pytest.mark.parametrize("config", [{}, {"Build Dependencies": {}}, None])
+    def test_meta_blas_unknown_when_unreported(self, monkeypatch, config):
+        from cmbproj.gamma import _blas
+
+        def show_config(mode):
+            if config is None:          # a numpy without mode="dicts"
+                raise TypeError(mode)
+            return config
+        monkeypatch.setattr(np, "show_config", show_config)
+        _blas.cache_clear()
+        try:
+            assert _blas() == "unknown"
+        finally:
+            _blas.cache_clear()
 
     def test_unknown_integrator_refused_before_pool(self, desk,
                                                     monkeypatch):
@@ -199,12 +219,87 @@ class TestRowSweep:
             pr = Problem(l_min=2, l_max=40, p_max=4, n_r=n_r)
             pt = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
             wr2 = cp.integration_weights(pr.grid.r, "spline") * pr.grid.r**2
-            job = (0, pr.mapping.n_max, pt, pr.mapping, pr.rule, wr2)
+            job = (_pair_groups(pr.mapping), pt,
+                   np.outer(wr2, pr.rule.weights).ravel())
             tracemalloc.start()
             try:
-                _cells_chunk(job)
+                _sweep(*job)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         # a sweep over whole radial columns would grow ~8x here
         assert peaks[1] < 1.1 * peaks[0]
+
+
+def _unchecked_mapping(entries, p_max):
+    """A ModeMapping that skips the i <= j <= k and no-duplicate checks:
+    the sweep itself needs neither."""
+    mapping = object.__new__(cp.ModeMapping)
+    object.__setattr__(mapping, "entries", np.array(entries, dtype=np.int64))
+    object.__setattr__(mapping, "p_max", p_max)
+    return mapping
+
+
+class _RecordingContext:
+    """Stand-in for ``get_context``: a real pool whose ``map`` records the
+    pickled size of every job first."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __call__(self, method):
+        self.ctx = multiprocessing.get_context(method)
+        return self
+
+    def Pool(self, *args, **kwargs):
+        pool = self.ctx.Pool(*args, **kwargs)
+        real_map = pool.map
+
+        def map(fn, jobs):
+            self.sizes.extend(len(pickle.dumps(job)) for job in jobs)
+            return real_map(fn, jobs)
+        pool.map = map
+        return pool
+
+
+class TestPairGroups:
+    def test_groups_in_first_appearance_order(self):
+        mapping = _unchecked_mapping(
+            [(2, 0, 1), (1, 1, 0), (0, 2, 1), (2, 0, 2), (1, 1, 0)], 3)
+        assert _pair_groups(mapping) == (
+            (2, 0, (0, 3), (1, 2)), (1, 1, (1, 4), (0, 0)),
+            (0, 2, (2,), (1,)))
+
+    def test_unsorted_and_repeated_triples_match_naive(self, desk):
+        mapping = _unchecked_mapping(
+            [(2, 0, 1), (0, 2, 1), (1, 1, 0), (1, 1, 0), (0, 1, 2),
+             (2, 2, 2)], desk.p_max)
+        fast = cp.gamma2d_matrix(desk.tables, mapping, desk.grid,
+                                 desk.rule, desk.legendre)
+        naive = cp.gamma2d_matrix_naive(desk.tables, mapping, desk.grid,
+                                        desk.rule, desk.legendre)
+        assert relative_gap(fast.values, naive.values) < 1e-12
+
+    def test_bitwise_across_workers_with_scattered_groups(self, desk):
+        order = np.random.default_rng(7).permutation(desk.mapping.n_max)
+        mapping = cp.ModeMapping(desk.mapping.entries[order], desk.p_max)
+        rows = [g[2] for g in _pair_groups(mapping)]
+        assert any(r[-1] - r[0] >= len(r) for r in rows)   # not contiguous
+        runs = [cp.gamma2d_matrix(desk.tables, mapping, desk.grid, desk.rule,
+                                  desk.legendre, "hermite", workers=w)
+                for w in (1, 2, 3, 5)]
+        for run in runs[1:]:
+            assert np.array_equal(runs[0].values, run.values)
+
+    def test_pool_jobs_carry_only_groups(self, monkeypatch):
+        import cmbproj.engine2d as e2
+        pr = Problem(l_min=2, l_max=40, p_max=4, n_r=216)
+        single = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
+                                   pr.legendre, workers=1)
+        sizes = []
+        monkeypatch.setattr(e2, "get_context", _RecordingContext(sizes))
+        multi = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
+                                  pr.legendre, workers=2)
+        assert len(sizes) == 2
+        assert max(sizes) < 4096
+        assert np.array_equal(single.values, multi.values)

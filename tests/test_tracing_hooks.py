@@ -38,6 +38,16 @@ def test_worker_entry_is_callable(layer, name):
     assert callable(getattr(module, name, None))
 
 
+@pytest.mark.parametrize("layer,name", _constant("_WORKER_ENTRIES"))
+def test_worker_entry_takes_one_positional(layer, name):
+    # the tracer's wrapper calls the entry point as fn(args)
+    module = importlib.import_module(f"cmbproj.{layer}")
+    params = list(inspect.signature(getattr(module, name)).parameters.values())
+    assert [p.kind for p in params] in (
+        [inspect.Parameter.POSITIONAL_ONLY],
+        [inspect.Parameter.POSITIONAL_OR_KEYWORD])
+
+
 @pytest.mark.parametrize("layer", ["engine2d", "engine3d"])
 def test_engine_imports_get_context(layer):
     module = importlib.import_module(f"cmbproj.{layer}")
