@@ -25,7 +25,7 @@ import numpy as np
 from .basis import BasisTables, ModeMapping, RadialGrid, _permutation_counts
 from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
 from .quadrature import QuadratureRule, integration_weights
-from .scheduler import make_plan
+from .scheduler import make_weighted_plan
 
 __all__ = [
     "min_mu_points",
@@ -202,7 +202,8 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
                    legendre: np.ndarray, integrator: str = "trap",
                    workers: int = 1) -> GammaMatrix:
     """Full matrix via the precomputed-table path, parallel over the
-    (i, j) groups of the mapping.
+    (i, j) groups of the mapping, split among the workers by their row
+    counts.
 
     One folded (r, mu) GEMM per group and radial slab, with the columns
     symmetrised once by S (see the module docstring).  Every row is
@@ -216,8 +217,9 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     if workers == 1:
         chunks = [_sweep(groups, ptable, weights)]
     else:
+        sizes = [len(rows) for _, _, rows, _ in groups]
         jobs = [groups[start:stop]
-                for start, stop in make_plan(len(groups), workers)]
+                for start, stop in make_weighted_plan(sizes, workers)]
         with get_context("fork").Pool(workers, _share_inputs,
                                       (ptable, weights)) as pool:
             chunks = pool.map(_cells_chunk, jobs)

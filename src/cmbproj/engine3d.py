@@ -10,7 +10,8 @@ The matrix is linear in the radial weights w_r r^2, so one sweep takes
 K integrators' weights as a [K, R] stack and fills K matrices from the
 same primordial products.  Each worker sweeps one contiguous chunk of
 triples into its own matrices, and the parent sums these in worker
-order.  The naive path keeps the original loop structure (primordial
+order; the inputs reach the forked workers through the pool
+initializer, so a job is only its triple range.  The naive path keeps the original loop structure (primordial
 mode outer, triple loops, inner late-mode accumulation) and is the
 permanent oracle.
 """
@@ -125,11 +126,9 @@ def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
         gamma[k] += p_blk @ x_blk.T
 
 
-def _sweep_chunk(args):
+def _sweep(start, stop, tables, mapping, wr2, domain, h2_mode, block):
     """Triples [start, stop) of the domain, accumulated block by block into
-    K matrices.  ``perfbench/tracing.py`` wraps this pool entry point by
-    name."""
-    (start, stop, tables, mapping, wr2, domain, h2_mode, block) = args
+    K matrices."""
     gamma = np.zeros((len(wr2), mapping.n_max, mapping.n_max))
     for b0 in range(start, stop, block):
         b1 = min(b0 + block, stop)
@@ -140,6 +139,24 @@ def _sweep_chunk(args):
         zm = _triple_z(tables, l1, l2, l3, h2_mode) * mult
         _block_accumulate(gamma, tables, mapping, wr2, l1, l2, l3, zm)
     return gamma
+
+
+# the sweep's inputs besides its triple range in a pool worker, set by
+# ``_share_inputs``
+_shared: dict = {}
+
+
+def _share_inputs(*inputs):
+    """Pool initializer: the tables, mapping, weights, domain, h2 mode and
+    block reach forked workers through fork, not through a pickle."""
+    _shared["inputs"] = inputs
+
+
+def _sweep_chunk(bounds):
+    """Pool entry point: ``_sweep`` over the triples ``bounds`` = (start,
+    stop) with the inputs ``_share_inputs`` left in this worker.
+    ``perfbench/tracing.py`` wraps it by name."""
+    return _sweep(*bounds, *_shared["inputs"])
 
 
 def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
@@ -184,13 +201,13 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
         raise MemoryError(
             f"a block of {b} triples needs {need} bytes but the budget "
             f"allows {MEMORY_BUDGET}")
-    jobs = [(start, stop, tables, mapping, wr2, domain, h2_mode, block)
-            for start, stop in ranges]
+    inputs = (tables, mapping, wr2, domain, h2_mode, block)
     if workers == 1:
-        partials = [_sweep_chunk(jobs[0])]
+        partials = [_sweep(*ranges[0], *inputs)]
     else:
-        with get_context("fork").Pool(workers) as pool:
-            partials = pool.map(_sweep_chunk, jobs)
+        with get_context("fork").Pool(workers, _share_inputs,
+                                      inputs) as pool:
+            partials = pool.map(_sweep_chunk, ranges)
     values = partials[0]
     for part in partials[1:]:
         values += part

@@ -152,7 +152,9 @@ class TriangularDomain:
 
     A triple (l1, l2, l3) is enumerated iff l1 <= l2 <= l3, l3 <= l1 + l2
     and l1+l2+l3 is even.  The order is lexicographic in (l1, l2, l3) and
-    defines a bijection between [0, count) and the triples.
+    defines a bijection between [0, count) and the triples.  The int64
+    arrays l1, l2, l3 are built by a fixed number of numpy calls, whatever
+    the number of (l1, l2) pairs.
     """
 
     def __init__(self, l_min: int, l_max: int):
@@ -160,29 +162,21 @@ class TriangularDomain:
             raise ValueError("require 2 <= l_min <= l_max")
         self.l_min = l_min
         self.l_max = l_max
-        parts_l1 = []
-        parts_l2 = []
-        parts_l3 = []
-        for l1 in range(l_min, l_max + 1):
-            for l2 in range(l1, l_max + 1):
-                # first l3 >= l2 with even l1+l2+l3, stepping by 2
-                start = l2 if (l1 + l2 + l2) % 2 == 0 else l2 + 1
-                stop = min(l1 + l2, l_max)
-                if start > stop:
-                    continue
-                l3 = np.arange(start, stop + 1, 2, dtype=np.int64)
-                parts_l1.append(np.full(len(l3), l1, dtype=np.int64))
-                parts_l2.append(np.full(len(l3), l2, dtype=np.int64))
-                parts_l3.append(l3)
-        if parts_l1:
-            self.l1 = np.concatenate(parts_l1)
-            self.l2 = np.concatenate(parts_l2)
-            self.l3 = np.concatenate(parts_l3)
-        else:
-            self.l1 = np.zeros(0, dtype=np.int64)
-            self.l2 = np.zeros(0, dtype=np.int64)
-            self.l3 = np.zeros(0, dtype=np.int64)
+        # every (l1, l2) pair with l1 <= l2, in lexicographic order
+        i, j = np.triu_indices(l_max - l_min + 1)
+        l1 = i.astype(np.int64) + l_min
+        l2 = j.astype(np.int64) + l_min
+        # l3 runs from the first value >= l2 with an even sum, in steps of
+        # 2, to min(l1 + l2, l_max); stop >= start - 1, so counts >= 0
+        start = l2 + l1 % 2
+        counts = (np.minimum(l1 + l2, l_max) - start) // 2 + 1
+        self.l1 = np.repeat(l1, counts)
+        self.l2 = np.repeat(l2, counts)
         self.count = len(self.l1)
+        # each triple's place in the l3 run of its pair
+        rank = np.arange(self.count) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+        self.l3 = np.repeat(start, counts) + 2 * rank
 
     def triple(self, index: int) -> tuple[int, int, int]:
         """Ordered triple at a global flattened index."""

@@ -1,15 +1,19 @@
 """Static deterministic partitioning of flat iteration spaces.
 
 Both engines sweep a single flattened index range (valid multipole triples
-for the direct engine, mapping rows for the separable one).  Work is
-carved into contiguous, balanced, per-worker chunks up front, so the
-chunk each item falls in depends only on the worker count.  The engines
-combine the per-chunk results in chunk order.
+for the direct engine, (i, j) groups of mapping rows for the separable
+one).  Work is carved into contiguous, balanced, per-worker chunks up
+front, so the chunk each item falls in depends only on the worker count
+(and, for items of unequal size, on their sizes).  The engines combine
+the per-chunk results in chunk order.
 """
 
 from __future__ import annotations
 
-__all__ = ["make_plan"]
+from bisect import bisect_left
+from itertools import accumulate
+
+__all__ = ["make_plan", "make_weighted_plan"]
 
 
 def make_plan(total: int, workers: int) -> tuple[tuple[int, int], ...]:
@@ -27,3 +31,24 @@ def make_plan(total: int, workers: int) -> tuple[tuple[int, int], ...]:
         start += size
     assert start == total
     return tuple(ranges)
+
+
+def make_weighted_plan(sizes, workers: int) -> tuple[tuple[int, int], ...]:
+    """Contiguous disjoint half-open ranges covering the items [0,
+    len(sizes)), one per worker, balanced by the items' sizes: the w-th
+    boundary is the item boundary whose cumulative size is nearest to w
+    equal shares of the total (the later one on a tie)."""
+    if workers < 1 or any(s < 0 for s in sizes):
+        raise ValueError("require sizes >= 0 and workers >= 1")
+    # cumulative sizes times workers, so that the shares are integers
+    scaled = [workers * c for c in accumulate(sizes, initial=0)]
+    total = scaled[-1] // workers
+    bounds = [0]
+    for w in range(1, workers):
+        share = w * total
+        g = bisect_left(scaled, share)
+        if g and share - scaled[g - 1] < scaled[g] - share:
+            g -= 1
+        bounds.append(g)
+    bounds.append(len(scaled) - 1)
+    return tuple(zip(bounds[:-1], bounds[1:]))

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,28 @@ class Problem:
         self.mapping = cp.default_mode_mapping(p_max)
         self.rule = cp.gauss_legendre(n_mu or default_mu_points(l_max))
         self.legendre = cp.legendre_table(l_max, self.rule)
+
+
+class RecordingContext:
+    """Stand-in for an engine's ``get_context``: a real pool whose ``map``
+    appends every job to ``jobs`` first."""
+
+    def __init__(self, jobs):
+        self.jobs = jobs
+
+    def __call__(self, method):
+        self.ctx = multiprocessing.get_context(method)
+        return self
+
+    def Pool(self, *args, **kwargs):
+        pool = self.ctx.Pool(*args, **kwargs)
+        real_map = pool.map
+
+        def map(fn, jobs):
+            self.jobs.extend(jobs)
+            return real_map(fn, jobs)
+        pool.map = map
+        return pool
 
 
 @pytest.fixture(scope="session")

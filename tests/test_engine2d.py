@@ -1,4 +1,3 @@
-import multiprocessing
 import pickle
 import tracemalloc
 
@@ -8,7 +7,7 @@ import pytest
 import cmbproj as cp
 from cmbproj.engine2d import (_l_weight, _pair_groups, _permanent3, _sweep,
                               default_mu_points)
-from conftest import Problem
+from conftest import Problem, RecordingContext
 
 
 def relative_gap(a, b):
@@ -240,28 +239,6 @@ def _unchecked_mapping(entries, p_max):
     return mapping
 
 
-class _RecordingContext:
-    """Stand-in for ``get_context``: a real pool whose ``map`` records the
-    pickled size of every job first."""
-
-    def __init__(self, sizes):
-        self.sizes = sizes
-
-    def __call__(self, method):
-        self.ctx = multiprocessing.get_context(method)
-        return self
-
-    def Pool(self, *args, **kwargs):
-        pool = self.ctx.Pool(*args, **kwargs)
-        real_map = pool.map
-
-        def map(fn, jobs):
-            self.sizes.extend(len(pickle.dumps(job)) for job in jobs)
-            return real_map(fn, jobs)
-        pool.map = map
-        return pool
-
-
 class TestPairGroups:
     def test_groups_in_first_appearance_order(self):
         mapping = _unchecked_mapping(
@@ -296,10 +273,32 @@ class TestPairGroups:
         pr = Problem(l_min=2, l_max=40, p_max=4, n_r=216)
         single = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
                                    pr.legendre, workers=1)
-        sizes = []
-        monkeypatch.setattr(e2, "get_context", _RecordingContext(sizes))
+        jobs = []
+        monkeypatch.setattr(e2, "get_context", RecordingContext(jobs))
         multi = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
                                   pr.legendre, workers=2)
-        assert len(sizes) == 2
-        assert max(sizes) < 4096
+        assert len(jobs) == 2
+        assert max(len(pickle.dumps(job)) for job in jobs) < 4096
         assert np.array_equal(single.values, multi.values)
+
+    @pytest.mark.parametrize("p_max", [4, 6])
+    def test_pool_shares_balanced_by_rows(self, p_max, monkeypatch):
+        # the default mapping lists the big (i, j) groups first; a split by
+        # group count gave 2 workers 14 and 6 of the 20 rows at p 4
+        import cmbproj.engine2d as e2
+        pr = Problem(l_min=2, l_max=8, p_max=p_max, n_r=30)
+        biggest = max(len(g[2]) for g in _pair_groups(pr.mapping))
+        runs = {1: cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid,
+                                     pr.rule, pr.legendre, workers=1)}
+        for workers in (2, 3):
+            jobs = []
+            monkeypatch.setattr(e2, "get_context", RecordingContext(jobs))
+            runs[workers] = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid,
+                                              pr.rule, pr.legendre,
+                                              workers=workers)
+            shares = [sum(len(g[2]) for g in job) for job in jobs]
+            assert len(shares) == workers
+            assert sum(shares) == pr.mapping.n_max
+            assert max(shares) - min(shares) <= biggest
+        assert np.array_equal(runs[1].values, runs[2].values)
+        assert np.array_equal(runs[1].values, runs[3].values)

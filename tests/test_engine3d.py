@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 import cmbproj as cp
-from conftest import Problem
+from conftest import Problem, RecordingContext
 
 
 def relative_gap(a, b):
@@ -201,6 +203,31 @@ class TestGosperVsExact:
         assert 0 < gap < 0.025
 
 
+class TestPoolJobs:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jobs_carry_only_their_range(self, workers, monkeypatch):
+        import cmbproj.engine3d as e3
+        pr = Problem(l_min=2, l_max=24, p_max=3, n_r=54)
+        domain = cp.enumerate_domain(2, 24)
+        wr2 = (cp.integration_weights(pr.grid.r, "hermite")
+               * pr.grid.r**2)[None]
+        # the same chunks swept in this process and summed in order
+        partials = [e3._sweep(start, stop, pr.tables, pr.mapping, wr2,
+                              domain, "exact", 64)
+                    for start, stop in cp.make_plan(domain.count, workers)]
+        expected = partials[0]
+        for part in partials[1:]:
+            expected += part
+        jobs = []
+        monkeypatch.setattr(e3, "get_context", RecordingContext(jobs))
+        g = cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid, "exact",
+                              "hermite", block=64, workers=workers,
+                              domain=domain)
+        assert len(jobs) == (workers if workers > 1 else 0)
+        assert all(len(pickle.dumps(job)) < 1024 for job in jobs)
+        assert np.array_equal(g.values, expected[0])
+
+
 class TestBlockBudget:
     @staticmethod
     def _need(desk, b):
@@ -209,9 +236,9 @@ class TestBlockBudget:
 
     def test_refused_before_sweep(self, desk, monkeypatch):
         import cmbproj.engine3d as e3
-        def no_sweep(args):
+        def no_sweep(*args):
             raise AssertionError("sweep started")
-        monkeypatch.setattr(e3, "_sweep_chunk", no_sweep)
+        monkeypatch.setattr(e3, "_sweep", no_sweep)
         monkeypatch.setattr(e3, "MEMORY_BUDGET", self._need(desk, 64) - 1)
         with pytest.raises(MemoryError, match="budget"):
             cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid, block=64)

@@ -204,10 +204,13 @@ class TestEnumerateDomain:
         with pytest.raises(ValueError):
             cp.enumerate_domain(8, 4)
 
-    @pytest.mark.parametrize("l_max", [2, 3, 5, 8, 13, 21, 40, 64])
-    def test_matches_brute_force(self, l_max):
-        d = cp.enumerate_domain(2, l_max)
-        expected = brute_force_triples(2, l_max)
+    @pytest.mark.parametrize("l_min,l_max", [
+        *(pytest.param(2, l_max, id=str(l_max))
+          for l_max in (2, 3, 5, 8, 13, 21, 40, 64)),
+        (3, 17), (4, 21), (7, 40), (3, 3), (4, 4), (7, 7), (7, 8)])
+    def test_matches_brute_force(self, l_min, l_max):
+        d = cp.enumerate_domain(l_min, l_max)
+        expected = brute_force_triples(l_min, l_max)
         assert d.count == len(expected)
         got = list(zip(d.l1.tolist(), d.l2.tolist(), d.l3.tolist()))
         assert got == expected

@@ -48,6 +48,18 @@ def test_worker_entry_takes_one_positional(layer, name):
         [inspect.Parameter.POSITIONAL_OR_KEYWORD])
 
 
+@pytest.mark.parametrize("layer", _constant("LAYERS"))
+def test_public_callables_are_plain_functions(layer):
+    # the tracer wraps only inspect.isfunction objects: a public name
+    # behind a cache decorator would drop out of the trace and its span
+    # metrics would read 0
+    module = importlib.import_module(f"cmbproj.{layer}")
+    for name in getattr(module, "__all__", ()):
+        obj = getattr(module, name)
+        if callable(obj) and not inspect.isclass(obj):
+            assert inspect.isfunction(obj), f"{layer}.{name}"
+
+
 @pytest.mark.parametrize("layer", ["engine2d", "engine3d"])
 def test_engine_imports_get_context(layer):
     module = importlib.import_module(f"cmbproj.{layer}")
