@@ -8,9 +8,8 @@ sweeps and a validation harness.
 from .basis import (BasisTables, ModeMapping, RadialGrid,
                     default_mode_mapping, default_radial_grid,
                     load_mode_mapping, save_mode_mapping, synthesize_basis)
-from .engine2d import (build_ptable, default_mu_points, gamma2d_entry,
-                       gamma2d_entry_naive, gamma2d_matrix,
-                       gamma2d_matrix_naive)
+from .engine2d import (build_ptable, default_mu_points, gamma2d_entry_naive,
+                       gamma2d_matrix, gamma2d_matrix_naive)
 from .engine3d import (gamma3d_matrices, gamma3d_matrix, gamma3d_naive,
                        gamma3d_unordered_reference, late_product_y,
                        radial_integral_x)

@@ -136,7 +136,7 @@ def load_mode_mapping(source) -> ModeMapping:
 
     Raises MappingFormatError naming the offending line for malformed
     records, duplicate or unordered triples, out-of-range indices and
-    non-ascending mode numbers.
+    non-ascending mode numbers, and for a file with no entries.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -184,6 +184,8 @@ def load_mode_mapping(source) -> ModeMapping:
     if len(entries) != n_max:
         raise MappingFormatError(
             f"header says n_max={n_max} but file has {len(entries)} entries")
+    if not entries:
+        raise MappingFormatError("mapping file has no entries")
     return ModeMapping(np.array(entries, dtype=np.int64), p_max)
 
 

@@ -12,10 +12,11 @@ import sys
 from typing import NamedTuple
 
 from .basis import BasisFormatError, MappingFormatError
-from .harness import (FORMATS, H2_MODES, INTEGRATOR_NAMES, MODES,
-                      ConfigError, GammaFormatError, RunConfig,
-                      run_convergence_study, run_crosscheck, run_gamma,
-                      serialize_gamma, write_rows_csv)
+from .geometry import H2_MODES
+from .harness import (FORMATS, INTEGRATOR_NAMES, MODES, ConfigError,
+                      GammaFormatError, RunConfig, run_convergence_study,
+                      run_crosscheck, run_gamma, serialize_gamma,
+                      write_rows_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -9,10 +9,9 @@ factor P[i,b1] P[j,b2] is contracted with the weighted P[k,b3] of every
 k that pair has, summing r and mu together in one GEMM over a folded
 (r, mu) axis, into T[n, b].  The six-term permanent of each entry is
 then one product with the counts S of the column permutations,
-Gamma = T S^T / 48 pi.  The single-entry path integrates mu first, then
-r.  The naive path recomputes the multipole sums per entry, exactly
-like the original hotspot, and is kept permanently as the oracle for
-the table path.
+Gamma = T S^T / 48 pi.  This is the one table path.  The naive path
+recomputes the multipole sums per entry, exactly like the original
+hotspot, and is kept permanently as its oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "min_mu_points",
     "default_mu_points",
     "build_ptable",
-    "gamma2d_entry",
     "gamma2d_entry_naive",
     "gamma2d_matrix",
     "gamma2d_matrix_naive",
@@ -57,15 +55,14 @@ def _l_weight(tables: BasisTables) -> np.ndarray:
 
 
 def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
-                 legendre: np.ndarray,
-                 budget_bytes: int = MEMORY_BUDGET) -> np.ndarray:
+                 legendre: np.ndarray) -> np.ndarray:
     """Precompute P[a, b, x, m] = sum_l lweight_l qtilde_b(r_x, l) q_a(l)
     P_l(mu_m), with late index a, primordial index b, radial point x and
     mu node m.
 
     The multipole sum is one GEMM, (p^2 R x L) @ (L x n_mu), so the table
     is deterministic for a given BLAS.  Construction is refused when the
-    table would exceed ``budget_bytes``, and a mu rule with fewer than
+    table would exceed ``MEMORY_BUDGET``, and a mu rule with fewer than
     ``min_mu_points(l_max)`` nodes is rejected: it does not integrate the
     mu product exactly.
     """
@@ -73,10 +70,10 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
     n_r = tables.n_radial
     n_mu = rule.n
     need = p * p * n_r * n_mu * 8
-    if need > budget_bytes:
+    if need > MEMORY_BUDGET:
         raise MemoryError(
             f"P table needs {need} bytes but the budget allows "
-            f"{budget_bytes}")
+            f"{MEMORY_BUDGET}")
     if n_mu < min_mu_points(tables.l_max):
         raise ValueError(
             f"mu rule has {n_mu} nodes but l_max={tables.l_max} needs "
@@ -102,25 +99,6 @@ def _permanent3(m):
             + m[0][2] * m[1][1] * m[2][0])
 
 
-def gamma2d_entry(n: int, n_prime: int, ptable: np.ndarray,
-                  mapping: ModeMapping, grid: RadialGrid,
-                  rule: QuadratureRule, integrator: str = "trap") -> float:
-    """One matrix entry from the precomputed table.
-
-    The mu integral is evaluated first at every radial point, then the
-    radial integral of r^2 I(r) is taken with the selected rule; this
-    ordering is structural here, while ``gamma2d_matrix`` sums (r, mu)
-    in one GEMM.
-    """
-    rows = mapping.triple(n)
-    cols = mapping.triple(n_prime)
-    m = [[ptable[rows[a], cols[b]] for b in range(3)] for a in range(3)]
-    per = _permanent3(m)                      # [R, n_mu]
-    inner = per @ rule.weights                # mu first -> I(r)
-    w = integration_weights(grid.r, integrator)
-    return float((grid.r**2 * inner) @ w / (48.0 * np.pi))
-
-
 def gamma2d_entry_naive(n: int, n_prime: int, tables: BasisTables,
                         mapping: ModeMapping, grid: RadialGrid,
                         rule: QuadratureRule, legendre: np.ndarray,
@@ -129,7 +107,7 @@ def gamma2d_entry_naive(n: int, n_prime: int, tables: BasisTables,
 
     Recomputes the nine multipole sums at every (radial point, mu node)
     pair, mirroring the original per-entry hotspot.  Kept permanently as
-    the oracle for ``gamma2d_entry``.
+    the oracle for the table path of ``gamma2d_matrix``.
     """
     rows = mapping.triple(n)
     cols = mapping.triple(n_prime)

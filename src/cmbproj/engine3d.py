@@ -1,7 +1,8 @@
 """Direct projection engine over the sparse triangular multipole domain.
 
 Each valid ordered triple (l1, l2, l3) contributes a geometric prefactor
-z, a symmetrised late-time product y(n) and a radially integrated
+z (``geometry.geometric_prefactor``, the one home of z for both h2
+modes), a symmetrised late-time product y(n) and a radially integrated
 primordial product x(n').  The optimized sweep processes blocks of B
 consecutive flattened triples, filling a late-time factor block P and a
 primordial factor block X (multiplicity and z folded into X) and
@@ -11,9 +12,9 @@ K integrators' weights as a [K, R] stack and fills K matrices from the
 same primordial products.  Each worker sweeps one contiguous chunk of
 triples into its own matrices, and the parent sums these in worker
 order; the inputs reach the forked workers through the pool
-initializer, so a job is only its triple range.  The naive path keeps the original loop structure (primordial
-mode outer, triple loops, inner late-mode accumulation) and is the
-permanent oracle.
+initializer, so a job is only its triple range.  The naive path keeps
+the original loop structure (primordial mode outer, triple loops, inner
+late-mode accumulation) and is the permanent oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from .basis import _PERMS3, BasisTables, ModeMapping, RadialGrid
 from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
-from .geometry import (TriangularDomain, _z_denominator, enumerate_domain,
-                       h2_exact, h2_gosper, permutation_multiplicity,
+from .geometry import (H2_MODES, TriangularDomain, enumerate_domain,
+                       geometric_prefactor, permutation_multiplicity,
                        theta_indicator)
 from .quadrature import INTEGRATORS, integration_weights
 from .scheduler import make_plan
@@ -41,21 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK = 64
-
-_H2 = {"gosper": h2_gosper, "exact": h2_exact}
-
-
-def _h2_function(h2_mode: str):
-    """The h^2 weight of ``h2_mode``; ValueError for an unknown mode."""
-    if h2_mode not in _H2:
-        raise ValueError(f"unknown h2_mode {h2_mode!r}")
-    return _H2[h2_mode]
-
-
-def _triple_z(tables: BasisTables, l1, l2, l3, h2_mode: str):
-    """Geometric prefactor of the direct sum for (arrays of) triples."""
-    return _h2_function(h2_mode)(l1, l2, l3) / _z_denominator(
-        l1, l2, l3, tables.C, tables.v, tables.l_min)
 
 
 def radial_integral_x(l1: int, l2: int, l3: int, n_prime: int,
@@ -136,7 +122,8 @@ def _sweep(start, stop, tables, mapping, wr2, domain, h2_mode, block):
         l2 = domain.l2[b0:b1]
         l3 = domain.l3[b0:b1]
         mult = permutation_multiplicity(l1, l2, l3)
-        zm = _triple_z(tables, l1, l2, l3, h2_mode) * mult
+        zm = geometric_prefactor(l1, l2, l3, tables.C, tables.v,
+                                 tables.l_min, h2_mode) * mult
         _block_accumulate(gamma, tables, mapping, wr2, l1, l2, l3, zm)
     return gamma
 
@@ -184,7 +171,8 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
         raise ValueError(
             f"domain covers l {domain.l_min}..{domain.l_max} but the tables "
             f"cover l {tables.l_min}..{tables.l_max}")
-    _h2_function(h2_mode)
+    if h2_mode not in H2_MODES:
+        raise ValueError(f"unknown h2_mode {h2_mode!r}")
     if not integrators:
         raise ValueError("need at least one integrator")
     wr2 = np.stack([integration_weights(grid.r, name) * grid.r**2
@@ -244,7 +232,8 @@ def gamma3d_naive(tables: BasisTables, mapping: ModeMapping,
             x = radial_integral_x(l1, l2, l3, n_prime, tables, mapping,
                                   grid, integrator)
             mult = permutation_multiplicity(l1, l2, l3)
-            z = float(_triple_z(tables, l1, l2, l3, h2_mode)) * mult
+            z = geometric_prefactor(l1, l2, l3, tables.C, tables.v,
+                                    tables.l_min, h2_mode) * mult
             for m in range(n_max):
                 y = late_product_y(l1, l2, l3, m, tables, mapping)
                 mvec[m] += x * y * z
@@ -271,7 +260,8 @@ def gamma3d_unordered_reference(tables: BasisTables, mapping: ModeMapping,
             for l3 in range(lo, hi + 1):
                 if not theta_indicator(l1, l2, l3):
                     continue
-                z = float(_triple_z(tables, l1, l2, l3, h2_mode))
+                z = geometric_prefactor(l1, l2, l3, tables.C, tables.v,
+                                        tables.l_min, h2_mode)
                 x = np.array([radial_integral_x(l1, l2, l3, np_, tables,
                                                 mapping, grid, integrator)
                               for np_ in range(n_max)])

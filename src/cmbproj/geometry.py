@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "H2_MODES",
     "theta_indicator",
     "h2_exact",
     "h2_gosper",
@@ -20,6 +21,9 @@ __all__ = [
     "TriangularDomain",
     "enumerate_domain",
 ]
+
+# the h^2 weights ``geometric_prefactor`` can apply, by name
+H2_MODES = ("gosper", "exact")
 
 
 # ----------------------------------------------------------------------
@@ -123,28 +127,34 @@ def permutation_multiplicity(l1, l2, l3):
     return int(out) if out.ndim == 0 else out
 
 
-def geometric_prefactor(l1, l2, l3, C, v, l_min=0):
+def geometric_prefactor(l1, l2, l3, C, v, l_min=0, h2_mode="gosper"):
     """Per-triple prefactor z of the direct (3D) projection sum.
 
-    This is the Gosper weight divided by 36 and by the per-multipole
-    normalisations: z = h2_gosper / (36 v1 v2 v3 sqrt(C1 C2 C3)).
-    ``C`` and ``v`` are tables indexed by physical l minus ``l_min``.
+    z = h^2 / (36 v1 v2 v3 sqrt(C1 C2 C3)), with h^2 the weight of
+    ``h2_mode``, one of ``H2_MODES``: ``h2_gosper`` or ``h2_exact``.
+    ``C`` and ``v`` are tables indexed by physical l minus ``l_min``; a
+    multipole outside them is refused.
     """
     C = np.asarray(C, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if np.any(C <= 0):
         raise ValueError("power spectrum C_l must be strictly positive")
-    out = h2_gosper(l1, l2, l3) / _z_denominator(l1, l2, l3, C, v, l_min)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _z_denominator(l1, l2, l3, C, v, l_min):
-    """36 v1 v2 v3 sqrt(C1 C2 C3), the per-triple normalisation that turns
-    a geometric weight h^2 into the prefactor z."""
     i1 = np.asarray(l1) - l_min
     i2 = np.asarray(l2) - l_min
     i3 = np.asarray(l3) - l_min
-    return 36.0 * v[i1] * v[i2] * v[i3] * np.sqrt(C[i1] * C[i2] * C[i3])
+    n_l = min(len(C), len(v))
+    if (min(i1.min(), i2.min(), i3.min()) < 0
+            or max(i1.max(), i2.max(), i3.max()) >= n_l):
+        raise ValueError(f"multipoles must lie in the tables' range "
+                         f"{l_min}..{l_min + n_l - 1}")
+    if h2_mode == "gosper":
+        h2 = h2_gosper(l1, l2, l3)
+    elif h2_mode == "exact":
+        h2 = h2_exact(l1, l2, l3)
+    else:
+        raise ValueError(f"unknown h2_mode {h2_mode!r}")
+    out = h2 / (36.0 * v[i1] * v[i2] * v[i3] * np.sqrt(C[i1] * C[i2] * C[i3]))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class TriangularDomain:

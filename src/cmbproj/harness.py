@@ -18,9 +18,9 @@ import numpy as np
 from .basis import (default_mode_mapping, default_radial_grid,
                     load_mode_mapping, synthesize_basis)
 from .engine2d import default_mu_points, gamma2d_matrix, min_mu_points
-from .engine3d import gamma3d_matrices, gamma3d_matrix
+from .engine3d import DEFAULT_BLOCK, gamma3d_matrices, gamma3d_matrix
 from .gamma import GammaMatrix
-from .geometry import enumerate_domain, h2_exact, h2_gosper
+from .geometry import H2_MODES, enumerate_domain, h2_exact, h2_gosper
 from .quadrature import INTEGRATORS, gauss_legendre, legendre_table
 
 __all__ = [
@@ -43,7 +43,6 @@ GOLD_R = 1768
 
 MODES = ("gamma2d", "gamma3d", "crosscheck", "convergence")
 INTEGRATOR_NAMES = tuple(INTEGRATORS)
-H2_MODES = ("gosper", "exact")
 FORMATS = ("csv", "bin")
 
 
@@ -66,7 +65,7 @@ class RunConfig:
     integrator: str = "trap"
     h2_mode: str = "gosper"
     mu_points: int | None = None    # None -> exactness rule for l_max
-    block: int = 64
+    block: int = DEFAULT_BLOCK
     workers: int = 1
     out: str | None = None
     fmt: str = "csv"

@@ -82,6 +82,12 @@ class TestMappingFile:
         with pytest.raises(MappingFormatError, match="header"):
             cp.load_mode_mapping(path)
 
+    def test_no_entries(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("modalmap v1 p_max=2 n_max=0\n")
+        with pytest.raises(MappingFormatError, match="no entries"):
+            cp.load_mode_mapping(path)
+
 
 class TestRadialGrid:
     def test_zone_counts_216(self):

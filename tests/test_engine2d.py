@@ -69,10 +69,11 @@ class TestPTable:
             direct = float(np.sum(lw * t.q[a] * t.q_tilde[b, x] * pl[:, m]))
             assert pt[a, b, x, m] == pytest.approx(direct, rel=1e-12)
 
-    def test_budget_enforced(self, desk):
-        with pytest.raises(MemoryError):
-            cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre,
-                            budget_bytes=1024)
+    def test_budget_enforced(self, desk, monkeypatch):
+        import cmbproj.engine2d as e2
+        monkeypatch.setattr(e2, "MEMORY_BUDGET", 1024)
+        with pytest.raises(MemoryError, match="budget allows 1024"):
+            cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
 
     def test_mu_rule_exactness_bound(self, desk):
         # l_max=16 needs ceil((3*16+1)/2) = 25 nodes; with fewer the matrix
@@ -89,28 +90,6 @@ class TestPTable:
         a = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
         b = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
         assert np.array_equal(a, b)
-
-
-class TestEntry:
-    def test_fast_matches_naive(self, desk):
-        pt = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
-        for n, n_prime in [(0, 0), (0, 5), (3, 7), (9, 2)]:
-            fast = cp.gamma2d_entry(n, n_prime, pt, desk.mapping, desk.grid,
-                                    desk.rule)
-            naive = cp.gamma2d_entry_naive(n, n_prime, desk.tables,
-                                           desk.mapping, desk.grid, desk.rule,
-                                           desk.legendre)
-            assert fast == pytest.approx(naive, rel=1e-12)
-
-    @pytest.mark.parametrize("integrator", ["trap", "hermite", "spline"])
-    def test_integrator_passthrough(self, desk, integrator):
-        pt = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
-        fast = cp.gamma2d_entry(2, 3, pt, desk.mapping, desk.grid, desk.rule,
-                                integrator=integrator)
-        naive = cp.gamma2d_entry_naive(2, 3, desk.tables, desk.mapping,
-                                       desk.grid, desk.rule, desk.legendre,
-                                       integrator=integrator)
-        assert fast == pytest.approx(naive, rel=1e-12)
 
 
 class TestMatrix:
@@ -177,14 +156,16 @@ class TestRowSweep:
     @pytest.mark.parametrize("integrator", ["trap", "hermite", "spline"])
     @pytest.mark.parametrize("p_max", [2, 3, 4])
     def test_every_cell_matches_entry(self, p_max, integrator):
-        # R=40 is not a multiple of the slab, so the last slab is partial
+        # every cell against the naive oracle, which also covers the
+        # integrator's pass-through to the matrix
         pr = Problem(l_min=2, l_max=10, p_max=p_max, n_r=40)
-        pt = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
         g = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
                               pr.legendre, integrator=integrator)
         n_max = pr.mapping.n_max
-        cells = np.array([[cp.gamma2d_entry(n, n_prime, pt, pr.mapping,
-                                            pr.grid, pr.rule, integrator)
+        cells = np.array([[cp.gamma2d_entry_naive(n, n_prime, pr.tables,
+                                                  pr.mapping, pr.grid,
+                                                  pr.rule, pr.legendre,
+                                                  integrator)
                            for n_prime in range(n_max)]
                           for n in range(n_max)])
         assert relative_gap(g.values, cells) < 1e-14

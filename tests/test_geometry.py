@@ -182,6 +182,38 @@ class TestGeometricPrefactor:
         with pytest.raises(ValueError):
             cp.geometric_prefactor(2, 2, 2, np.zeros(1), np.ones(1), l_min=2)
 
+    def test_exact_mode_uses_exact_weight(self):
+        C = np.linspace(0.5, 2.0, 9)
+        v = np.linspace(1.5, 0.5, 9)
+        for l1, l2, l3 in brute_force_triples(2, 10):
+            gosper = cp.geometric_prefactor(l1, l2, l3, C, v, l_min=2)
+            exact = cp.geometric_prefactor(l1, l2, l3, C, v, l_min=2,
+                                           h2_mode="exact")
+            assert exact / gosper == pytest.approx(
+                cp.h2_exact(l1, l2, l3) / cp.h2_gosper(l1, l2, l3),
+                rel=1e-14)
+
+    def test_rejects_unknown_mode(self):
+        ones = np.ones(1)
+        with pytest.raises(ValueError, match="h2_mode"):
+            cp.geometric_prefactor(2, 2, 2, ones, ones, l_min=2,
+                                   h2_mode="bogus")
+
+    # tables for l 2..6
+    @pytest.mark.parametrize("triple", [
+        (1, 2, 2), (2, 2, 7), (2, 7, 2), (7, 2, 2), (0, 4, 4),
+        (np.array([2, 1]), np.array([2, 2]), np.array([2, 2]))])
+    def test_rejects_l_outside_tables(self, triple):
+        ones = np.ones(5)
+        with pytest.raises(ValueError, match=r"range 2\.\.6"):
+            cp.geometric_prefactor(*triple, ones, ones, l_min=2)
+
+    @pytest.mark.parametrize("triple", [(2, 2, 2), (6, 6, 6), (2, 4, 6)])
+    def test_accepts_first_and_last_l(self, triple):
+        ones = np.ones(5)
+        z = cp.geometric_prefactor(*triple, ones, ones, l_min=2)
+        assert z == pytest.approx(cp.h2_gosper(*triple) / 36, rel=1e-15)
+
 
 class TestEnumerateDomain:
     def test_l_max_4(self):

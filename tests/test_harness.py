@@ -400,6 +400,14 @@ class TestCli:
                        "--mapping", str(bad)])
         assert rc == 2
 
+    def test_empty_mapping_file_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.map"
+        empty.write_text("modalmap v1 p_max=2 n_max=0\n")
+        rc = cli_main(["--mode", "gamma2d", *self.ARGS,
+                       "--mapping", str(empty)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_config_file_exit_4(self, capsys):
         assert cli_main(["--config", "/nonexistent/run.cfg"]) == 4
 

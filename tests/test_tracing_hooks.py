@@ -1,9 +1,11 @@
-"""The names perfbench/tracing.py patches and the calls
-perfbench/workloads.py makes exist in cmbproj, so a rename or a removed
-keyword fails here instead of breaking a benchmark run."""
+"""The names perfbench/tracing.py patches, the spans perfbench/run.py
+reads and the calls perfbench/workloads.py makes exist in cmbproj, so a
+rename or a removed keyword fails here instead of breaking a benchmark
+run or turning a per-layer metric to 0."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import multiprocessing
 from pathlib import Path
@@ -15,16 +17,17 @@ import cmbproj
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
+RUN = PERFBENCH / "run.py"
 
 
-def _constant(name):
-    """The literal value assigned to ``name`` at module level."""
-    for node in ast.parse(TRACING.read_text(encoding="utf-8")).body:
+def _constant(name, path=TRACING):
+    """The literal value assigned to ``name`` at module level of ``path``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == name
                 for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"{name} is not assigned in {TRACING}")
+    raise AssertionError(f"{name} is not assigned in {path}")
 
 
 @pytest.mark.parametrize("layer", _constant("LAYERS"))
@@ -91,3 +94,57 @@ def test_workload_calls_fit_signature(name):
         kwargs = dict.fromkeys(k.arg for k in call.keywords if k.arg)
         # TypeError for an unknown keyword or too many positional args
         signature.bind_partial(*args, **kwargs)
+
+
+def _opened_spans():
+    """(layer, name) of every ``tracer.open("layer", "name")`` in
+    workloads.py: spans the benchmark opens itself."""
+    spans = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "open"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "tracer"):
+            spans.add(tuple(ast.literal_eval(a) for a in node.args))
+    return spans
+
+
+SPAN_TIMES = _constant("SPAN_TIMES", RUN)
+OPENED_SPANS = _opened_spans()
+
+
+@pytest.mark.parametrize("metric", sorted(SPAN_TIMES))
+def test_span_metric_names_are_traced(metric):
+    # the tracer records spans only for public plain functions defined in
+    # a layer module; any other name would leave the metric at 0
+    layer, names = SPAN_TIMES[metric]
+    module = importlib.import_module(f"cmbproj.{layer}")
+    for name in names:
+        obj = getattr(module, name, None)
+        traced = (not name.startswith("_") and inspect.isfunction(obj)
+                  and obj.__module__ == module.__name__)
+        assert traced or (layer, name) in OPENED_SPANS, f"{layer}.{name}"
+
+
+def _tracer_class():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+@pytest.mark.parametrize("mode", ["gosper", "exact"])
+def test_engine_h2_calls_are_traced(desk, tmp_path, mode):
+    # the direct engine's h^2 time must be booked to geometry.h2_s
+    tracer = _tracer_class()(str(tmp_path))
+    tracer.install()
+    try:
+        tracer.active = True
+        cmbproj.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
+                               h2_mode=mode, workers=1)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert ("geometry", f"h2_{mode}") in {(s[2], s[3]) for s in tracer.spans}
