@@ -17,6 +17,8 @@ from itertools import permutations
 
 import numpy as np
 
+from .quadrature import _legendre_rows
+
 __all__ = [
     "ModeMapping",
     "BasisTables",
@@ -264,6 +266,8 @@ class BasisTables:
             raise ValueError("table shapes inconsistent with l range")
         if np.any(self.C <= 0):
             raise ValueError("power spectrum C_l must be strictly positive")
+        if np.any(self.v <= 0):
+            raise ValueError("v_l must be strictly positive")
 
     @property
     def p_max(self) -> int:
@@ -281,20 +285,6 @@ class BasisTables:
                        np.int64([self.l_min, self.l_max]))
 
 
-def _shifted_legendre(p_max: int, l_min: int, l_max: int) -> np.ndarray:
-    """Legendre polynomials of degree < p_max in x = 2(l-l_min)/span - 1."""
-    ells = np.arange(l_min, l_max + 1, dtype=np.float64)
-    span = max(l_max - l_min, 1)
-    x = 2.0 * (ells - l_min) / span - 1.0
-    q = np.empty((p_max, len(ells)))
-    q[0] = 1.0
-    if p_max > 1:
-        q[1] = x
-    for i in range(1, p_max - 1):
-        q[i + 1] = ((2 * i + 1) * x * q[i] - i * q[i - 1]) / (i + 1)
-    return q
-
-
 def synthesize_basis(p_max: int, l_min: int, l_max: int,
                      grid: RadialGrid) -> BasisTables:
     """Deterministic synthetic basis tables.
@@ -307,7 +297,8 @@ def synthesize_basis(p_max: int, l_min: int, l_max: int,
     if p_max < 1 or not 2 <= l_min <= l_max:
         raise ValueError("require p_max >= 1 and 2 <= l_min <= l_max")
     ells = np.arange(l_min, l_max + 1, dtype=np.float64)
-    q = _shifted_legendre(p_max, l_min, l_max)
+    span = max(l_max - l_min, 1)
+    q = _legendre_rows(p_max, 2.0 * (ells - l_min) / span - 1.0)
     C = 1.0 / (ells * (ells + 1.0))
     v = (2.0 * ells + 1.0) ** (1.0 / 6.0)
     w = radial_peak_weight(grid.r)

@@ -14,9 +14,9 @@ from typing import NamedTuple
 from .basis import BasisFormatError, MappingFormatError
 from .geometry import H2_MODES
 from .harness import (FORMATS, INTEGRATOR_NAMES, MODES, ConfigError,
-                      GammaFormatError, RunConfig, run_convergence_study,
-                      run_crosscheck, run_gamma, serialize_gamma,
-                      write_rows_csv)
+                      GammaFormatError, RunConfig, _csv_lines, _write_lines,
+                      run_convergence_study, run_crosscheck, run_gamma,
+                      serialize_gamma)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,19 +111,13 @@ def main(argv=None) -> int:
                 print(f"wrote {gamma.shape[0]}x{gamma.shape[1]} matrix "
                       f"to {config.out} ({config.fmt})")
             else:
-                for line in config.header_lines():
-                    print(line)
-                print(f"matrix {gamma.shape[0]}x{gamma.shape[1]} "
-                      f"frobenius={float((gamma.values**2).sum())**0.5:.17g}")
+                frobenius = float((gamma.values**2).sum())**0.5
+                _emit([f"matrix {gamma.shape[0]}x{gamma.shape[1]} "
+                       f"frobenius={frobenius:.17g}"], config)
         elif config.mode == "crosscheck":
-            report = run_crosscheck(config)
-            for line in config.header_lines():
-                print(line)
-            for line in report.lines():
-                print(line)
+            _emit(run_crosscheck(config).lines(), config)
         elif config.mode == "convergence":
-            rows = run_convergence_study(config)
-            _emit_rows(rows, config)
+            _emit(_csv_lines(run_convergence_study(config)), config)
         return EXIT_OK
     except (ConfigError, MappingFormatError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -137,17 +131,16 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-def _emit_rows(rows, config) -> None:
+def _emit(lines, config) -> None:
+    """The provenance header and ``lines``: written atomically to ``--out``
+    if it is set, else printed."""
+    lines = config.header_lines() + lines
     if config.out:
-        write_rows_csv(rows, config, config.out)
-        print(f"wrote {len(rows)} rows to {config.out}")
+        _write_lines(config.out, lines)
+        print(f"wrote {len(lines)} lines to {config.out}")
     else:
-        for line in config.header_lines():
+        for line in lines:
             print(line)
-        keys = list(rows[0])
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(str(row[k]) for k in keys))
 
 
 if __name__ == "__main__":

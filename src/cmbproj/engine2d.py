@@ -9,8 +9,9 @@ factor P[i,b1] P[j,b2] is contracted with the weighted P[k,b3] of every
 k that pair has, summing r and mu together in one GEMM over a folded
 (r, mu) axis, into T[n, b].  The six-term permanent of each entry is
 then one product with the counts S of the column permutations,
-Gamma = T S^T / 48 pi.  This is the one table path.  The naive path
-recomputes the multipole sums per entry, exactly like the original
+Gamma = T S^T / 48 pi.  This is the one table path; ``scheduler.run_chunks``
+runs its groups, split among the workers by their row counts.  The naive
+path recomputes the multipole sums per entry, exactly like the original
 hotspot, and is kept permanently as its oracle.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 from .basis import BasisTables, ModeMapping, RadialGrid, _permutation_counts
 from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
 from .quadrature import QuadratureRule, integration_weights
-from .scheduler import make_weighted_plan
+from .scheduler import chunk_inputs, make_weighted_plan, run_chunks
 
 __all__ = [
     "min_mu_points",
@@ -125,16 +126,6 @@ def gamma2d_entry_naive(n: int, n_prime: int, tables: BasisTables,
     return float((grid.r**2 * inner) @ w / (48.0 * np.pi))
 
 
-# the sweep's inputs in a pool worker, set by ``_share_inputs``
-_shared: dict = {}
-
-
-def _share_inputs(ptable, weights):
-    """Pool initializer: the P table and the folded weights w_r r^2 w_mu
-    [R * n_mu] reach forked workers through fork, not through a pickle."""
-    _shared["pv"], _shared["w"] = ptable, weights
-
-
 def _pair_groups(mapping: ModeMapping):
     """The rows of each distinct (i, j), in order of first appearance:
     ((i, j, rows, ks), ...) with the rows and their k in mapping order."""
@@ -170,9 +161,10 @@ def _sweep(groups, pv, w):
 
 
 def _cells_chunk(groups):
-    """Pool entry point: ``_sweep`` on the inputs ``_share_inputs`` left
-    in this worker.  ``perfbench/tracing.py`` wraps it by name."""
-    return _sweep(groups, _shared["pv"], _shared["w"])
+    """Chunk entry point: ``_sweep`` over ``groups`` with the P table and
+    folded weights ``run_chunks`` shares.  ``perfbench/tracing.py`` wraps
+    it by name."""
+    return _sweep(groups, *chunk_inputs())
 
 
 def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
@@ -192,15 +184,10 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     ptable = build_ptable(tables, grid, rule, legendre)
     weights = np.outer(wr2, rule.weights).ravel()
     groups = _pair_groups(mapping)
-    if workers == 1:
-        chunks = [_sweep(groups, ptable, weights)]
-    else:
-        sizes = [len(rows) for _, _, rows, _ in groups]
-        jobs = [groups[start:stop]
-                for start, stop in make_weighted_plan(sizes, workers)]
-        with get_context("fork").Pool(workers, _share_inputs,
-                                      (ptable, weights)) as pool:
-            chunks = pool.map(_cells_chunk, jobs)
+    sizes = [len(rows) for _, _, rows, _ in groups]
+    jobs = [groups[start:stop]
+            for start, stop in make_weighted_plan(sizes, workers)]
+    chunks = run_chunks(get_context, _cells_chunk, jobs, (ptable, weights))
     order = [row for _, _, rows, _ in groups for row in rows]
     t = np.empty((mapping.n_max, tables.p_max**3))
     t[order] = np.concatenate(chunks)

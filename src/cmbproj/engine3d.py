@@ -11,10 +11,10 @@ The matrix is linear in the radial weights w_r r^2, so one sweep takes
 K integrators' weights as a [K, R] stack and fills K matrices from the
 same primordial products.  Each worker sweeps one contiguous chunk of
 triples into its own matrices, and the parent sums these in worker
-order; the inputs reach the forked workers through the pool
-initializer, so a job is only its triple range.  The naive path keeps
-the original loop structure (primordial mode outer, triple loops, inner
-late-mode accumulation) and is the permanent oracle.
+order; ``scheduler.run_chunks`` runs the chunks and shares the other
+inputs with forked workers, so a job is only its triple range.  The
+naive path keeps the original loop structure (primordial mode outer,
+triple loops, inner late-mode accumulation) and is the permanent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .geometry import (H2_MODES, TriangularDomain, enumerate_domain,
                        geometric_prefactor, permutation_multiplicity,
                        theta_indicator)
 from .quadrature import INTEGRATORS, integration_weights
-from .scheduler import make_plan
+from .scheduler import chunk_inputs, make_plan, run_chunks
 
 __all__ = [
     "radial_integral_x",
@@ -128,22 +128,11 @@ def _sweep(start, stop, tables, mapping, wr2, domain, h2_mode, block):
     return gamma
 
 
-# the sweep's inputs besides its triple range in a pool worker, set by
-# ``_share_inputs``
-_shared: dict = {}
-
-
-def _share_inputs(*inputs):
-    """Pool initializer: the tables, mapping, weights, domain, h2 mode and
-    block reach forked workers through fork, not through a pickle."""
-    _shared["inputs"] = inputs
-
-
 def _sweep_chunk(bounds):
-    """Pool entry point: ``_sweep`` over the triples ``bounds`` = (start,
-    stop) with the inputs ``_share_inputs`` left in this worker.
+    """Chunk entry point: ``_sweep`` over the triples ``bounds`` = (start,
+    stop) with the other inputs ``run_chunks`` shares.
     ``perfbench/tracing.py`` wraps it by name."""
-    return _sweep(*bounds, *_shared["inputs"])
+    return _sweep(*bounds, *chunk_inputs())
 
 
 def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
@@ -189,13 +178,8 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
         raise MemoryError(
             f"a block of {b} triples needs {need} bytes but the budget "
             f"allows {MEMORY_BUDGET}")
-    inputs = (tables, mapping, wr2, domain, h2_mode, block)
-    if workers == 1:
-        partials = [_sweep(*ranges[0], *inputs)]
-    else:
-        with get_context("fork").Pool(workers, _share_inputs,
-                                      inputs) as pool:
-            partials = pool.map(_sweep_chunk, ranges)
+    partials = run_chunks(get_context, _sweep_chunk, ranges,
+                          (tables, mapping, wr2, domain, h2_mode, block))
     values = partials[0]
     for part in partials[1:]:
         values += part

@@ -139,6 +139,8 @@ def geometric_prefactor(l1, l2, l3, C, v, l_min=0, h2_mode="gosper"):
     v = np.asarray(v, dtype=np.float64)
     if np.any(C <= 0):
         raise ValueError("power spectrum C_l must be strictly positive")
+    if np.any(v <= 0):
+        raise ValueError("v_l must be strictly positive")
     i1 = np.asarray(l1) - l_min
     i2 = np.asarray(l2) - l_min
     i3 = np.asarray(l3) - l_min

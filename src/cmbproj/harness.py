@@ -221,12 +221,8 @@ def serialize_gamma(gamma: GammaMatrix, path, fmt: str = "csv") -> None:
                   f"nmax={gamma.shape[0]} lmin={meta.get('l_min', 0)} "
                   f"lmax={meta.get('l_max', 0)} "
                   f"integrator={meta.get('integrator', '?')}")
-
-        def write(f):
-            f.write(header + "\n")
-            for row in gamma.values:
-                f.write(",".join(f"{x:.17g}" for x in row) + "\n")
-        _write_atomic(path, write)
+        _write_lines(path, [header] + [",".join(f"{x:.17g}" for x in row)
+                                       for row in gamma.values])
     elif fmt == "bin":
         rows, cols = gamma.shape
 
@@ -384,16 +380,22 @@ def run_convergence_study(config: RunConfig,
 
 def write_rows_csv(rows: list[dict], config: RunConfig, path) -> None:
     """Emit study rows as CSV with the full provenance header."""
+    _write_lines(path, config.header_lines() + _csv_lines(rows))
+
+
+def _csv_lines(rows: list[dict]) -> list[str]:
+    """The CSV header line and one line per row, floats at full precision."""
     if not rows:
         raise ValueError("no rows to write")
     keys = list(rows[0])
+    return [",".join(keys)] + [",".join(_cell(row[k]) for k in keys)
+                               for row in rows]
 
+
+def _write_lines(path, lines) -> None:
     def write(f):
-        for line in config.header_lines():
+        for line in lines:
             f.write(line + "\n")
-        f.write(",".join(keys) + "\n")
-        for row in rows:
-            f.write(",".join(_cell(row[k]) for k in keys) + "\n")
     _write_atomic(path, write)
 
 

@@ -116,18 +116,23 @@ def _gauss_legendre(n: int) -> QuadratureRule:
     return QuadratureRule(x, w)
 
 
+def _legendre_rows(n: int, x: np.ndarray) -> np.ndarray:
+    """P_0 .. P_{n-1} at every point of ``x``, shape [n, len(x)], by the
+    upward three-term recurrence."""
+    table = np.empty((n, len(x)))
+    table[0] = 1.0
+    if n > 1:
+        table[1] = x
+    for l in range(1, n - 1):
+        table[l + 1] = ((2 * l + 1) * x * table[l] - l * table[l - 1]) / (l + 1)
+    return table
+
+
 def legendre_table(l_max: int, rule: QuadratureRule) -> np.ndarray:
     """P_l at every node, shape [l_max+1, n], by the upward recurrence."""
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    x = rule.nodes
-    table = np.empty((l_max + 1, len(x)))
-    table[0] = 1.0
-    if l_max >= 1:
-        table[1] = x
-    for l in range(1, l_max):
-        table[l + 1] = ((2 * l + 1) * x * table[l] - l * table[l - 1]) / (l + 1)
-    return table
+    return _legendre_rows(l_max + 1, rule.nodes)
 
 
 def _check_lengths(r, y, minimum):

@@ -1,11 +1,13 @@
-"""Static deterministic partitioning of flat iteration spaces.
+"""Static deterministic partitioning of flat iteration spaces, and the
+one place chunks are run.
 
 Both engines sweep a single flattened index range (valid multipole triples
 for the direct engine, (i, j) groups of mapping rows for the separable
 one).  Work is carved into contiguous, balanced, per-worker chunks up
 front, so the chunk each item falls in depends only on the worker count
-(and, for items of unequal size, on their sizes).  The engines combine
-the per-chunk results in chunk order.
+(and, for items of unequal size, on their sizes).  ``run_chunks`` runs
+the chunks, in this process or in forked workers that inherit their
+shared inputs, and the engines combine the results in chunk order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 
-__all__ = ["make_plan", "make_weighted_plan"]
+__all__ = ["make_plan", "make_weighted_plan", "run_chunks", "chunk_inputs"]
+
+# the inputs of the running ``run_chunks`` call, set only while it runs;
+# forked workers inherit them
+_shared: dict = {}
 
 
 def make_plan(total: int, workers: int) -> tuple[tuple[int, int], ...]:
@@ -52,3 +58,26 @@ def make_weighted_plan(sizes, workers: int) -> tuple[tuple[int, int], ...]:
         bounds.append(g)
     bounds.append(len(scaled) - 1)
     return tuple(zip(bounds[:-1], bounds[1:]))
+
+
+def chunk_inputs() -> tuple:
+    """The ``inputs`` of the ``run_chunks`` call whose chunk is running, in
+    this process or in a forked worker."""
+    return _shared["inputs"]
+
+
+def run_chunks(get_context, entry, jobs, inputs) -> list:
+    """``[entry(job) for job in jobs]``, with ``inputs`` readable through
+    ``chunk_inputs()``.  One job runs in this process; more run in a pool
+    of one worker per job from ``get_context("fork")``, forked after the
+    inputs are set, so only the jobs and results are pickled.  The inputs
+    are dropped when the call returns or raises.  Calls in one process
+    must not overlap: they share the one set of inputs."""
+    _shared["inputs"] = inputs
+    try:
+        if len(jobs) <= 1:
+            return [entry(job) for job in jobs]
+        with get_context("fork").Pool(len(jobs)) as pool:
+            return pool.map(entry, jobs)
+    finally:
+        _shared.clear()

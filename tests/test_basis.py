@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -161,6 +162,14 @@ class TestSynthesizeBasis:
         t, grid = tables
         w = radial_peak_weight(grid.r)
         assert np.allclose(t.q_tilde[2, :, 5], t.q[2, 5] * w, rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_rejects_nonpositive_v(self, tables, bad):
+        t, _ = tables
+        v = t.v.copy()
+        v[0] = bad
+        with pytest.raises(ValueError, match="v_l"):
+            dataclasses.replace(t, v=v)
 
 
 class TestFingerprint:

@@ -182,6 +182,12 @@ class TestGeometricPrefactor:
         with pytest.raises(ValueError):
             cp.geometric_prefactor(2, 2, 2, np.zeros(1), np.ones(1), l_min=2)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_rejects_nonpositive_v(self, bad):
+        ones = np.ones(3)
+        with pytest.raises(ValueError, match="v_l"):
+            cp.geometric_prefactor(2, 2, 2, ones, [bad, 1.0, 1.0], l_min=2)
+
     def test_exact_mode_uses_exact_weight(self):
         C = np.linspace(0.5, 2.0, 9)
         v = np.linspace(1.5, 0.5, 9)

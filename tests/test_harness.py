@@ -389,6 +389,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "max_rel_dev=" in out and "rmse_percent=" in out
 
+    def test_crosscheck_to_file(self, tmp_path, capsys):
+        out = tmp_path / "cc.txt"
+        rc = cli_main(["--mode", "crosscheck", *self.ARGS, "--out", str(out)])
+        assert rc == 0
+        text = out.read_text(encoding="utf-8")
+        assert text.startswith("# ")
+        assert "max_rel_dev=" in text and "rmse_percent=" in text
+
+    def test_convergence_file_matches_stdout(self, tmp_path, capsys,
+                                             monkeypatch):
+        # one study for both runs: its seconds column is a wall time
+        rows = cp.run_convergence_study(
+            cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2),
+            ladder=(30, 60))
+        monkeypatch.setattr("cmbproj.cli.run_convergence_study",
+                            lambda config: rows)
+        assert cli_main(["--mode", "convergence", *self.ARGS]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        out = tmp_path / "conv.csv"
+        assert cli_main(["--mode", "convergence", *self.ARGS,
+                         "--out", str(out)]) == 0
+        written = out.read_text(encoding="utf-8").splitlines()
+        # the provenance header names the output path, and only there
+        assert written == [f"# out={out}" if line == "# out=None" else line
+                           for line in printed]
+
     def test_config_error_exit_2(self, capsys):
         assert cli_main(["--lmin", "5", "--lmax", "3"]) == 2
         assert "config error" in capsys.readouterr().err

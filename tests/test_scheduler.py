@@ -1,7 +1,12 @@
+import multiprocessing
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cmbproj as cp
+from cmbproj import scheduler
+from cmbproj.scheduler import chunk_inputs, run_chunks
 
 
 class TestMakePlan:
@@ -74,3 +79,47 @@ class TestMakeWeightedPlan:
         half = max(sizes, default=0) / 2
         for w, (start, _) in enumerate(ranges):
             assert abs(sum(sizes[:start]) - w * total / workers) <= half
+
+
+def _scaled(job):
+    """A chunk entry: the job times the shared factor, and the pid."""
+    (factor,) = chunk_inputs()
+    return job * factor, os.getpid()
+
+
+def _applied(job):
+    """A chunk entry that calls the shared function on its job."""
+    (fn,) = chunk_inputs()
+    return fn(job), os.getpid()
+
+
+def _failing(job):
+    raise ValueError("chunk failed")
+
+
+class TestRunChunks:
+    def test_results_in_job_order(self):
+        results = run_chunks(multiprocessing.get_context, _scaled,
+                             [5, 3, 8], (10,))
+        assert [value for value, _ in results] == [50, 30, 80]
+
+    def test_one_job_runs_in_this_process(self):
+        assert run_chunks(multiprocessing.get_context, _scaled, [4],
+                          (2,)) == [(8, os.getpid())]
+
+    def test_unpicklable_input_reaches_forked_workers(self):
+        results = run_chunks(multiprocessing.get_context, _applied, [1, 2],
+                             (lambda x: x + 100,))
+        assert [value for value, _ in results] == [101, 102]
+        assert all(pid != os.getpid() for _, pid in results)
+
+    @pytest.mark.parametrize("jobs", [[1], [1, 2]])
+    def test_inputs_dropped_on_return(self, jobs):
+        run_chunks(multiprocessing.get_context, _scaled, jobs, (3,))
+        assert scheduler._shared == {}
+
+    @pytest.mark.parametrize("jobs", [[1], [1, 2]])
+    def test_inputs_dropped_on_raise(self, jobs):
+        with pytest.raises(ValueError, match="chunk failed"):
+            run_chunks(multiprocessing.get_context, _failing, jobs, (3,))
+        assert scheduler._shared == {}

@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import multiprocessing
 from pathlib import Path
 
@@ -148,3 +149,34 @@ def test_engine_h2_calls_are_traced(desk, tmp_path, mode):
         tracer.active = False
         tracer.uninstall()
     assert ("geometry", f"h2_{mode}") in {(s[2], s[3]) for s in tracer.spans}
+
+
+def _run_gamma3d(desk):
+    cmbproj.gamma3d_matrix(desk.tables, desk.mapping, desk.grid, workers=2)
+
+
+def _run_gamma2d(desk):
+    cmbproj.gamma2d_matrix(desk.tables, desk.mapping, desk.grid, desk.rule,
+                           desk.legendre, workers=2)
+
+
+@pytest.mark.parametrize("layer,run", [("engine3d", _run_gamma3d),
+                                       ("engine2d", _run_gamma2d)])
+def test_pool_and_worker_spans_are_traced(desk, tmp_path, layer, run):
+    # the benchmark's scheduler.worker_busy_s and per-layer busy times come
+    # from the pool span and the span files the forked workers write
+    tracer = _tracer_class()(str(tmp_path))
+    tracer.install()
+    try:
+        tracer.active = True
+        run(desk)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert ("scheduler", "pool") in {(s[2], s[3]) for s in tracer.spans}
+    trees = [json.loads(path.read_text(encoding="utf-8"))
+             for path in sorted(tmp_path.iterdir())]
+    assert len(trees) == 2
+    for tree in trees:
+        roots = [s for s in tree if s[1] is None]
+        assert [(s[2], s[3]) for s in roots] == [(layer, "chunk")]
