@@ -7,14 +7,19 @@ primordial product x(n').  The optimized sweep processes blocks of B
 consecutive flattened triples, filling a late-time factor block P and a
 primordial factor block X (multiplicity and z folded into X) and
 accumulating the matrix as P X^T -- the blocked two-matrix reduction.
-The matrix is linear in the radial weights w_r r^2, so one sweep takes
-K integrators' weights as a [K, R] stack and fills K matrices from the
-same primordial products.  Each worker sweeps one contiguous chunk of
-triples into its own matrices, and the parent sums these in worker
-order; ``scheduler.run_chunks`` runs the chunks and shares the other
-inputs with forked workers, so a job is only its triple range.  The
-naive path keeps the original loop structure (primordial mode outer,
-triple loops, inner late-mode accumulation) and is the permanent oracle.
+X is summed over slabs of ``_SLAB`` radial points (more for a block of
+fewer than ``_SLAB`` triples, see ``_slab_points``): per slab the p^2
+products of the first two multipoles' q_tilde rows are formed once, and
+each ordering gathers them and multiplies by the third, so a block's
+arrays stay bounded however large R is.  The matrix is linear in the radial weights
+w_r r^2, so one sweep takes K integrators' weights as a [K, R] stack and
+fills K matrices from the same primordial products.  Each worker sweeps
+one contiguous chunk of triples into its own matrices, and the parent
+sums these in worker order; ``scheduler.run_chunks`` runs the chunks and
+shares the other inputs with forked workers, so a job is only its
+triple range.  The naive path keeps the original loop structure
+(primordial mode outer, triple loops, inner late-mode accumulation) and
+is the permanent oracle.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ __all__ = [
 ]
 
 DEFAULT_BLOCK = 64
+_SLAB = 64     # radial points per slab of a block of >= _SLAB triples
 
 
 def radial_integral_x(l1: int, l2: int, l3: int, n_prime: int,
@@ -74,6 +80,46 @@ def late_product_y(l1: int, l2: int, l3: int, n: int,
                      for a, b, c in _PERMS3))
 
 
+def _slab_points(b: int) -> int:
+    """Radial points per slab for a block of b triples: ``_SLAB``, or more
+    for a smaller block, so that a slab still spans _SLAB^2 (point, triple)
+    cells and its fixed count of numpy calls stays cheap beside its
+    arithmetic."""
+    return max(_SLAB, _SLAB * _SLAB // b)
+
+
+def _block_bytes(p: int, n_max: int, n_radial: int, b: int, k: int) -> int:
+    """Upper bound of the bytes ``_block_accumulate`` holds at once for a
+    block of at most b triples and k radial weight rows.  Per slab of
+    c <= max(_SLAB b, _SLAB^2) (point, triple) cells, and c <= R b: the
+    q_tilde gathers of the three multipoles [p, c], the pair products
+    [p^2, c], and f, a gathered product and a q_tilde gather [n_max, c]
+    each.  Per block: X [k, n_max, b], P and one radial sum [n_max, b]."""
+    cells = min(n_radial * b, max(_SLAB * b, _SLAB * _SLAB))
+    return 8 * (cells * (3 * p + p * p + 3 * n_max) + b * (k + 2) * n_max)
+
+
+def _slab_accumulate(x_blk: np.ndarray, qt: np.ndarray, w: np.ndarray,
+                     i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
+                     orders: list) -> None:
+    """x_blk[k] += the radial sum, with the weights w[k] [S], of the
+    symmetrised primordial products over one slab of S radial points;
+    ``qt`` is the slab's q_tilde [p, S, L].  Its arrays are freed on
+    return, so no two slabs' arrays are live at once."""
+    p = len(qt)
+    qt3 = qt[:, :, i3]                       # [p, S, B]
+    # pairs[i p + j] = q~_i(l1) q~_j(l2)
+    pairs = (qt[:, :, i1][:, None] * qt[:, :, i2]).reshape(
+        p * p, *qt3.shape[1:])
+    f = np.zeros((x_blk.shape[1],) + qt3.shape[1:])   # [n_max, S, B]
+    for ab, c in orders:
+        term = pairs[ab]
+        term *= qt3[c]
+        f += term
+    for x, wk in zip(x_blk, w):
+        x += np.einsum("r,nrb->nb", wk, f)
+
+
 def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
                       mapping: ModeMapping, wr2: np.ndarray,
                       l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
@@ -83,15 +129,15 @@ def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
 
     P[n, t] is the symmetrised late product, X_k[n', t] the symmetrised
     primordial product integrated with weights k and scaled by zm
-    (prefactor times permutation multiplicity).
+    (prefactor times permutation multiplicity).  X is summed over slabs of
+    ``_slab_points(B)`` radial points, so the block's arrays stay bounded
+    however large R is.
     """
     i1 = l1 - tables.l_min
     i2 = l2 - tables.l_min
     i3 = l3 - tables.l_min
-    im = mapping.entries[:, 0]
-    jm = mapping.entries[:, 1]
-    km = mapping.entries[:, 2]
-    cols = (im, jm, km)
+    p = tables.p_max
+    cols = tuple(mapping.entries.T)          # (i, j, k) of every mode n
 
     q1 = tables.q[:, i1]                     # [p, B]
     q2 = tables.q[:, i2]
@@ -100,16 +146,17 @@ def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
     for a, b, c in _PERMS3:
         p_blk += q1[cols[a]] * q2[cols[b]] * q3[cols[c]]
 
-    qt1 = tables.q_tilde[:, :, i1]           # [p, R, B]
-    qt2 = tables.q_tilde[:, :, i2]
-    qt3 = tables.q_tilde[:, :, i3]
-    f = np.zeros((mapping.n_max, tables.n_radial, len(l1)))
-    for a, b, c in _PERMS3:
-        f += qt1[cols[a]] * qt2[cols[b]] * qt3[cols[c]]
-    for k, w in enumerate(wr2):
-        x_blk = np.einsum("r,nrb->nb", w, f)
-        x_blk *= zm
-        gamma[k] += p_blk @ x_blk.T
+    # per ordering, the pair-product rows of its first two factors and the
+    # q~(l3) rows of its third
+    orders = [(cols[a] * p + cols[b], cols[c]) for a, b, c in _PERMS3]
+    x_blk = np.zeros((len(wr2), mapping.n_max, len(l1)))
+    s = _slab_points(len(l1))
+    for s0 in range(0, tables.n_radial, s):
+        _slab_accumulate(x_blk, tables.q_tilde[:, s0:s0 + s],
+                         wr2[:, s0:s0 + s], i1, i2, i3, orders)
+    x_blk *= zm
+    for g, x in zip(gamma, x_blk):
+        g += p_blk @ x.T
 
 
 def _sweep(start, stop, tables, mapping, wr2, domain, h2_mode, block):
@@ -149,8 +196,9 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
     summed once in worker order.  Bitwise reproducible for a fixed
     (workers, block) pair.  A ``domain`` whose l range differs from the
     tables', an unknown ``h2_mode``, no or an unknown integrator, and a
-    block whose working arrays would exceed ``MEMORY_BUDGET`` are refused
-    before any sweep starts.
+    block whose working arrays (``_block_bytes``, bounded however large R
+    is) would exceed ``MEMORY_BUDGET`` are refused before any sweep
+    starts.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
@@ -170,10 +218,9 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
                       {"h2_mode": h2_mode, "block": block,
                        "workers": workers})
     ranges = make_plan(domain.count, workers)
-    # live per block: the [p, R, B] q_tilde slices, f and up to three
-    # [n_max, R, B] gathers and products of _block_accumulate
     b = min(block, max(stop - start for start, stop in ranges))
-    need = 8 * tables.n_radial * b * (3 * tables.p_max + 4 * mapping.n_max)
+    need = _block_bytes(tables.p_max, mapping.n_max, tables.n_radial, b,
+                        len(wr2))
     if need > MEMORY_BUDGET:
         raise MemoryError(
             f"a block of {b} triples needs {need} bytes but the budget "

@@ -75,6 +75,12 @@ class RunConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 2 <= self.l_min <= self.l_max:
             raise ConfigError("require 2 <= lmin <= lmax")
+        # (l, l, l) has an even sum for even l, and (l, l, l + 1) for odd l,
+        # so only a single odd l has no valid triple
+        if self.l_min == self.l_max and self.l_min % 2:
+            raise ConfigError(
+                f"lmin = lmax = {self.l_min} has no valid triple: l1+l2+l3 "
+                f"is odd")
         if self.p_max < 1:
             raise ConfigError("pmax must be >= 1")
         if self.r_samples < 12:

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,87 @@ class TestStackedIntegrators:
             assert np.array_equal(x.values, y.values)
 
 
+class TestRadialSlabs:
+    """The sweep sums each block over slabs of radial points: ``_SLAB`` for
+    a block of ``_SLAB`` triples or more, more for a smaller block."""
+
+    def test_slab_points(self):
+        import cmbproj.engine3d as e3
+        assert [e3._slab_points(b) for b in (1, 7, 63, 64, 65, 10**6)] \
+            == [4096, 585, 65, 64, 64, 64]
+
+    @pytest.mark.parametrize("h2_mode", ["gosper", "exact"])
+    @pytest.mark.parametrize("n_r", [63, 64, 65, 150])
+    def test_matches_naive(self, n_r, h2_mode):
+        # the first block, 64 of the 71 triples, is swept in slabs of 64
+        # points: the last one partial, full, a single point, or the third
+        pr = Problem(l_min=2, l_max=10, p_max=3, n_r=n_r)
+        stacked = cp.gamma3d_matrices(pr.tables, pr.mapping, pr.grid,
+                                      h2_mode, STACK, block=64, workers=1)
+        for name, g in zip(STACK, stacked):
+            naive = cp.gamma3d_naive(pr.tables, pr.mapping, pr.grid,
+                                     h2_mode, name)
+            assert relative_gap(g.values, naive.values) < 1e-12
+
+    @pytest.fixture(scope="class")
+    def desk150(self):
+        return Problem(l_min=2, l_max=16, p_max=3, n_r=150)
+
+    def test_stack_is_bitwise_single_integrator(self, desk150):
+        pr = desk150
+        stacked = cp.gamma3d_matrices(pr.tables, pr.mapping, pr.grid,
+                                      "exact", STACK, block=64, workers=2)
+        for name, g in zip(STACK, stacked):
+            single = cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid,
+                                       "exact", name, block=64, workers=2)
+            assert np.array_equal(g.values, single.values)
+
+    def test_repeat_bitwise_and_workers_close(self, desk150):
+        pr = desk150
+        runs = {w: [cp.gamma3d_matrices(pr.tables, pr.mapping, pr.grid,
+                                        integrators=STACK, workers=w)
+                    for _ in range(2)]
+                for w in (1, 2, 3)}
+        for a, b in runs.values():
+            for x, y in zip(a, b):
+                assert np.array_equal(x.values, y.values)
+        for w in (2, 3):
+            for x, y in zip(runs[1][0], runs[w][0]):
+                assert relative_gap(x.values, y.values) <= 1e-12
+
+    @staticmethod
+    def _peak(fn, *args):
+        fn(*args)                            # fills the process's caches
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_independent_of_radial_size(self):
+        peaks = []
+        for n_r in (216, 1768):
+            pr = Problem(l_min=2, l_max=16, p_max=3, n_r=n_r)
+            peaks.append(self._peak(cp.gamma3d_matrices, pr.tables,
+                                    pr.mapping, pr.grid, "gosper", STACK))
+        # whole radial columns made this ~8x
+        assert peaks[1] < 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_sweep_within_block_bytes(self, block):
+        # the working-set formula bounds what a sweep really holds
+        import cmbproj.engine3d as e3
+        pr = Problem(l_min=2, l_max=16, p_max=3, n_r=1768)
+        domain = cp.enumerate_domain(2, 16)
+        wr2 = np.stack([cp.integration_weights(pr.grid.r, name)
+                        * pr.grid.r**2 for name in STACK])
+        peak = self._peak(e3._sweep, 0, domain.count, pr.tables, pr.mapping,
+                          wr2, domain, "gosper", block)
+        assert peak <= e3._block_bytes(pr.p_max, pr.mapping.n_max, 1768,
+                                       block, len(STACK))
+
+
 class TestOrderedEnumeration:
     def test_matches_unordered_reference(self):
         # ordered triples with multiplicity {1, 3, 6} must exactly equal
@@ -231,8 +313,9 @@ class TestPoolJobs:
 class TestBlockBudget:
     @staticmethod
     def _need(desk, b):
-        return 8 * len(desk.grid) * b * (3 * desk.p_max
-                                          + 4 * desk.mapping.n_max)
+        from cmbproj.engine3d import _block_bytes
+        return _block_bytes(desk.p_max, desk.mapping.n_max, len(desk.grid),
+                            b, 1)
 
     def test_refused_before_sweep(self, desk, monkeypatch):
         import cmbproj.engine3d as e3

@@ -9,7 +9,8 @@ import cmbproj as cp
 from cmbproj.cli import _KEYS, build_parser, config_from_args
 from cmbproj.cli import main as cli_main
 from cmbproj.gamma import GammaMatrix
-from cmbproj.harness import ConfigError, GammaFormatError, write_rows_csv
+from cmbproj.harness import (MODES, ConfigError, GammaFormatError,
+                              write_rows_csv)
 
 
 def _gamma(values):
@@ -189,6 +190,8 @@ class TestRunConfig:
         {"workers": 0},
         {"fmt": "json"},
         {"l_max": 16, "mu_points": 24},
+        {"l_min": 3, "l_max": 3},
+        {"l_min": 41, "l_max": 41},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
@@ -418,6 +421,22 @@ class TestCli:
     def test_config_error_exit_2(self, capsys):
         assert cli_main(["--lmin", "5", "--lmax", "3"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_valid_triple_exit_2(self, mode, capsys):
+        # a single odd l has no triple with an even sum; crosscheck and
+        # convergence used to fail normalising a zero matrix (exit 1), and
+        # gamma2d and gamma3d printed an all-zero matrix
+        rc = cli_main(["--mode", mode, "--lmin", "3", "--lmax", "3",
+                       "--pmax", "2", "--r-samples", "12"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["gamma2d", "gamma3d", "crosscheck"])
+    def test_single_even_l_runs(self, mode, capsys):
+        rc = cli_main(["--mode", mode, "--lmin", "4", "--lmax", "4",
+                       "--pmax", "2", "--r-samples", "12"])
+        assert rc == 0
 
     def test_bad_mapping_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "map.txt"
