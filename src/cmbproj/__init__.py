@@ -24,7 +24,7 @@ from .harness import (ComparisonReport, RunConfig, deserialize_gamma,
 from .quadrature import (QuadratureRule, gauss_legendre, integrate_hermite,
                          integrate_spline, integrate_trapezium,
                          integration_weights, legendre_table)
-from .scheduler import make_plan, make_weighted_plan
+from .scheduler import make_weighted_plan
 
 __version__ = "0.1.0"
 

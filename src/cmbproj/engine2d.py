@@ -194,7 +194,7 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     s = _permutation_counts(mapping, tables.p_max)
     values = t @ s.T / (48.0 * np.pi)
     meta = _base_meta(tables, grid, mapping, "modal2d", integrator,
-                      {"n_mu": rule.n, "workers": workers})
+                      {"n_mu": int(rule.n), "workers": int(workers)})
     return GammaMatrix(values, meta)
 
 

@@ -11,15 +11,15 @@ X is summed over slabs of ``_SLAB`` radial points (more for a block of
 fewer than ``_SLAB`` triples, see ``_slab_points``): per slab the p^2
 products of the first two multipoles' q_tilde rows are formed once, and
 each ordering gathers them and multiplies by the third, so a block's
-arrays stay bounded however large R is.  The matrix is linear in the radial weights
-w_r r^2, so one sweep takes K integrators' weights as a [K, R] stack and
-fills K matrices from the same primordial products.  Each worker sweeps
-one contiguous chunk of triples into its own matrices, and the parent
-sums these in worker order; ``scheduler.run_chunks`` runs the chunks and
-shares the other inputs with forked workers, so a job is only its
-triple range.  The naive path keeps the original loop structure
-(primordial mode outer, triple loops, inner late-mode accumulation) and
-is the permanent oracle.
+arrays stay bounded however large R is.  The matrix is linear in the
+radial weights w_r r^2, so one sweep takes K integrators' weights as a
+[K, R] stack and fills K matrices from the same primordial products.
+Each worker sweeps one contiguous chunk of whole triple blocks into its
+own matrices, and the parent sums these in worker order;
+``scheduler.run_chunks`` runs the chunks and shares the other inputs
+with forked workers, so a job is only its triple range.  The naive path
+keeps the original loop structure (primordial mode outer, triple loops,
+inner late-mode accumulation) and is the permanent oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .geometry import (H2_MODES, TriangularDomain, enumerate_domain,
                        geometric_prefactor, permutation_multiplicity,
                        theta_indicator)
 from .quadrature import INTEGRATORS, integration_weights
-from .scheduler import chunk_inputs, make_plan, run_chunks
+from .scheduler import chunk_inputs, make_weighted_plan, run_chunks
 
 __all__ = [
     "radial_integral_x",
@@ -191,14 +191,14 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
     """Blocked sweep of the flattened triple space, one matrix for each of
     ``integrators`` from a single pass over the triples.
 
-    The space is statically partitioned into contiguous per-worker chunks;
-    each worker accumulates its own matrices block by block, and these are
-    summed once in worker order.  Bitwise reproducible for a fixed
-    (workers, block) pair.  A ``domain`` whose l range differs from the
-    tables', an unknown ``h2_mode``, no or an unknown integrator, and a
-    block whose working arrays (``_block_bytes``, bounded however large R
-    is) would exceed ``MEMORY_BUDGET`` are refused before any sweep
-    starts.
+    The space is statically partitioned into contiguous per-worker chunks
+    of whole blocks, balanced by their triple counts; each worker
+    accumulates its own matrices block by block, and these are summed once
+    in worker order.  Bitwise reproducible for a fixed (workers, block)
+    pair.  A ``domain`` whose l range differs from the tables', an unknown
+    ``h2_mode``, no or an unknown integrator, and a block whose working
+    arrays (``_block_bytes``, bounded however large R is) would exceed
+    ``MEMORY_BUDGET`` are refused before any sweep starts.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
@@ -215,16 +215,20 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
     wr2 = np.stack([integration_weights(grid.r, name) * grid.r**2
                     for name in integrators])
     meta = _base_meta(tables, grid, mapping, "modal3d", None,
-                      {"h2_mode": h2_mode, "block": block,
-                       "workers": workers})
-    ranges = make_plan(domain.count, workers)
-    b = min(block, max(stop - start for start, stop in ranges))
+                      {"h2_mode": h2_mode, "block": int(block),
+                       "workers": int(workers)})
+    b = min(block, domain.count)
     need = _block_bytes(tables.p_max, mapping.n_max, tables.n_radial, b,
                         len(wr2))
     if need > MEMORY_BUDGET:
         raise MemoryError(
             f"a block of {b} triples needs {need} bytes but the budget "
             f"allows {MEMORY_BUDGET}")
+    # chunks of whole blocks: a block's triples do not depend on workers
+    sizes = [min(block, domain.count - b0)
+             for b0 in range(0, domain.count, block)]
+    ranges = [(start * block, min(stop * block, domain.count))
+              for start, stop in make_weighted_plan(sizes, workers)]
     partials = run_chunks(get_context, _sweep_chunk, ranges,
                           (tables, mapping, wr2, domain, h2_mode, block))
     values = partials[0]

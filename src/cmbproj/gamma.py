@@ -48,11 +48,11 @@ def _blas() -> str:
 
 
 def _base_meta(tables, grid, mapping, engine, integrator, extra=None):
-    """Provenance ``meta`` shared by every engine and oracle."""
+    """Plain-Python provenance ``meta`` shared by every engine and oracle."""
     meta = {
         "engine": engine,
-        "l_min": tables.l_min,
-        "l_max": tables.l_max,
+        "l_min": int(tables.l_min),
+        "l_max": int(tables.l_max),
         "p_max": tables.p_max,
         "n_max": mapping.n_max,
         "integrator": integrator,

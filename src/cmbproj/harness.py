@@ -3,11 +3,13 @@
 This is the driver layer behind the command line: it owns the run
 configuration, the RMSE comparison between unit-normalised matrices, the
 integrator convergence study, the cross-check between the separable and
-direct engines and the matrix file formats.
+direct engines and the matrix file formats, which keep a matrix's whole
+provenance ``meta`` and give it back on reading.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import time
@@ -193,8 +195,10 @@ class ComparisonReport:
 # matrix serialization
 # ----------------------------------------------------------------------
 
+_CSV_MAGIC = "# modalgamma v2"
 _BIN_MAGIC = b"MGAM"
-_BIN_VERSION = 1
+_BIN_VERSION = 2
+_BIN_HEADER = struct.Struct("<4sIIII")  # magic, version, rows, cols, meta size
 
 
 def _write_atomic(path, write, binary: bool = False) -> None:
@@ -220,29 +224,39 @@ def _write_atomic(path, write, binary: bool = False) -> None:
 
 
 def serialize_gamma(gamma: GammaMatrix, path, fmt: str = "csv") -> None:
-    """Write a matrix as full-precision CSV or the MGAM binary format."""
-    meta = gamma.meta
+    """Write a matrix and its whole ``meta``, which both formats store as
+    ``json.dumps(meta, sort_keys=True)``.
+
+    csv: a line ``# modalgamma v2 <rows> <cols> <meta JSON>``, then one
+    line of ``%.17g`` values per row.  bin: ``MGAM``, then little-endian
+    u32 version 2, rows, cols and the JSON's byte length, then the UTF-8
+    JSON, then the ``<f8`` values row by row.
+    """
+    meta = json.dumps(gamma.meta, sort_keys=True)
+    rows, cols = gamma.shape
     if fmt == "csv":
-        header = (f"# modalgamma v1 engine={meta.get('engine', '?')} "
-                  f"nmax={gamma.shape[0]} lmin={meta.get('l_min', 0)} "
-                  f"lmax={meta.get('l_max', 0)} "
-                  f"integrator={meta.get('integrator', '?')}")
+        header = f"{_CSV_MAGIC} {rows} {cols} {meta}"
         _write_lines(path, [header] + [",".join(f"{x:.17g}" for x in row)
                                        for row in gamma.values])
     elif fmt == "bin":
-        rows, cols = gamma.shape
-
-        def write(f):
-            f.write(_BIN_MAGIC)
-            f.write(struct.pack("<III", _BIN_VERSION, rows, cols))
-            f.write(gamma.values.astype("<f8").tobytes())
-        _write_atomic(path, write, binary=True)
+        meta = meta.encode("utf-8")
+        blob = (_BIN_HEADER.pack(_BIN_MAGIC, _BIN_VERSION, rows, cols,
+                                 len(meta))
+                + meta + gamma.values.astype("<f8").tobytes())
+        _write_atomic(path, lambda f: f.write(blob), binary=True)
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _format_checked(values, meta) -> GammaMatrix:
-    """A matrix read from a file; non-finite entries are a format error."""
+def _read_matrix(values, meta) -> GammaMatrix:
+    """A matrix read from a file: ``meta`` must be a JSON object, and
+    non-finite entries are a format error."""
+    try:
+        meta = json.loads(meta)
+    except (ValueError, RecursionError) as exc:
+        raise GammaFormatError(f"corrupt meta: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise GammaFormatError("corrupt meta: not a JSON object")
     try:
         return GammaMatrix(values, meta)
     except ValueError as exc:
@@ -250,48 +264,47 @@ def _format_checked(values, meta) -> GammaMatrix:
 
 
 def deserialize_gamma(path, fmt: str = "csv") -> GammaMatrix:
-    """Read a matrix written by :func:`serialize_gamma`."""
+    """Read a matrix and its ``meta`` written by :func:`serialize_gamma`;
+    a file of another version is corrupt."""
     if fmt == "csv":
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
-        if not lines or not lines[0].startswith("# modalgamma v1"):
+        head = lines[0].split(" ", 5) if lines else []
+        if len(head) != 6 or " ".join(head[:3]) != _CSV_MAGIC:
             raise GammaFormatError("corrupt header")
         try:
-            fields = dict(kv.split("=") for kv in lines[0][2:].split()[2:])
-            n_max = int(fields["nmax"])
-            meta = {"engine": fields.get("engine"),
-                    "l_min": int(fields.get("lmin", 0)),
-                    "l_max": int(fields.get("lmax", 0)),
-                    "integrator": fields.get("integrator")}
-        except (KeyError, ValueError) as exc:
+            n_rows, n_cols = int(head[3]), int(head[4])
+        except ValueError as exc:
             raise GammaFormatError("corrupt header") from exc
         rows = [line for line in lines[1:] if line.strip()]
-        if len(rows) != n_max:
+        if len(rows) != n_rows:
             raise GammaFormatError(
-                f"dimension mismatch: header says {n_max} rows, "
+                f"dimension mismatch: header says {n_rows} rows, "
                 f"found {len(rows)}")
         cells = [row.split(",") for row in rows]
-        if any(len(row) != n_max for row in cells):
+        if any(len(row) != n_cols for row in cells):
             raise GammaFormatError(
-                f"dimension mismatch: expected {n_max} columns per row")
+                f"dimension mismatch: expected {n_cols} columns per row")
         try:
             values = np.array([[float(x) for x in row] for row in cells])
         except ValueError as exc:
             raise GammaFormatError(f"non-numeric cell: {exc}") from exc
-        return _format_checked(values, meta)
+        return _read_matrix(values, head[5])
     if fmt == "bin":
         with open(path, "rb") as f:
             blob = f.read()
-        if len(blob) < 16 or blob[:4] != _BIN_MAGIC:
+        if len(blob) < _BIN_HEADER.size or blob[:4] != _BIN_MAGIC:
             raise GammaFormatError("corrupt header")
-        version, rows, cols = struct.unpack("<III", blob[4:16])
+        _, version, rows, cols, meta_len = _BIN_HEADER.unpack_from(blob)
         if version != _BIN_VERSION:
             raise GammaFormatError(f"unsupported version {version}")
-        payload = blob[16:]
-        if len(payload) != rows * cols * 8:
+        start = _BIN_HEADER.size + meta_len
+        if start > len(blob):
+            raise GammaFormatError("truncated meta")
+        if len(blob) - start != rows * cols * 8:
             raise GammaFormatError("truncated payload")
-        values = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-        return _format_checked(values.copy(), {"engine": "file"})
+        values = np.frombuffer(blob, "<f8", offset=start).reshape(rows, cols)
+        return _read_matrix(values.copy(), blob[_BIN_HEADER.size:start])
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -382,11 +395,6 @@ def run_convergence_study(config: RunConfig,
              "rmse_percent": rmse_percent(sweeps[n_r][0][integrator], gold),
              "seconds": sweeps[n_r][1]}
             for integrator in INTEGRATOR_NAMES for n_r in ladder]
-
-
-def write_rows_csv(rows: list[dict], config: RunConfig, path) -> None:
-    """Emit study rows as CSV with the full provenance header."""
-    _write_lines(path, config.header_lines() + _csv_lines(rows))
 
 
 def _csv_lines(rows: list[dict]) -> list[str]:

@@ -1,13 +1,14 @@
 """1D integration machinery.
 
 Gauss-Legendre rules are generated by Newton iteration on the Legendre
-recurrence, starting from the Chebyshev-angle asymptotic guesses; this
-gives node accuracy at the couple-of-ulp level, which the separable
-projection path needs (its mu integral reconstructs a step function and is
-extremely sensitive to quadrature error).  A rule depends only on its
-size n, so each n is computed once per process (the ``_RULE_CACHE`` most
-recently used sizes are kept) and every caller shares that one rule;
-its arrays are read-only.
+recurrence that also fills the Legendre tables, starting from the
+Chebyshev-angle asymptotic guesses; this gives node accuracy at the
+couple-of-ulp level, which the separable projection path needs (its mu
+integral reconstructs a step function and is extremely sensitive to
+quadrature error).  A rule depends only on its size n, so each n is
+computed once per process (the ``_RULE_CACHE`` most recently used sizes
+are kept) and every caller shares that one rule; its arrays are
+read-only.
 
 Radial integrals over the nonuniform grid come in three flavours:
 trapezium, Hermite-cubic (trapezium plus a secant-slope correction term)
@@ -23,6 +24,7 @@ correction from one tridiagonal solve with the moment matrix.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,18 +64,6 @@ class QuadratureRule:
         return len(self.nodes)
 
 
-def _legendre_and_derivative(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    if n == 0:
-        return p0, np.zeros_like(x)
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
-
-
 def gauss_legendre(n: int) -> QuadratureRule:
     """n-node Gauss-Legendre rule on [-1, 1].
 
@@ -97,12 +87,12 @@ def _gauss_legendre(n: int) -> QuadratureRule:
     b = np.arange(n, dtype=np.float64)
     x = np.cos(np.pi * (4 * b + 3) / (4 * n + 2))
     for _ in range(_NEWTON_CAP):
-        p, dp = _legendre_and_derivative(n, x)
+        p, dp = _pn_and_derivative(n, x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 1e-15:
             # one clean-up step past the convergence check
-            p, dp = _legendre_and_derivative(n, x)
+            p, dp = _pn_and_derivative(n, x)
             x = x - p / dp
             break
     else:
@@ -110,21 +100,34 @@ def _gauss_legendre(n: int) -> QuadratureRule:
     x = np.sort(x)
     # enforce the exact symmetry x_b = -x_{n-1-b}
     x = 0.5 * (x - x[::-1])
-    _, dp = _legendre_and_derivative(n, x)
+    _, dp = _pn_and_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     w = 0.5 * (w + w[::-1])
     return QuadratureRule(x, w)
 
 
+def _legendre_recurrence(n: int, x: np.ndarray):
+    """Yield P_0 .. P_{n-1} at every point of ``x``, one row at a time, by
+    the upward three-term recurrence."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for l in range(n):
+        if l:
+            prev, cur = cur, ((2 * l - 1) * x * cur - (l - 1) * prev) / l
+        yield cur
+
+
+def _pn_and_derivative(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x), from the last two rows of the recurrence; only
+    two rows are held at a time, however large n is."""
+    p_prev, p = deque(_legendre_recurrence(n + 1, x), maxlen=2)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 def _legendre_rows(n: int, x: np.ndarray) -> np.ndarray:
-    """P_0 .. P_{n-1} at every point of ``x``, shape [n, len(x)], by the
-    upward three-term recurrence."""
+    """P_0 .. P_{n-1} at every point of ``x``, shape [n, len(x)]."""
     table = np.empty((n, len(x)))
-    table[0] = 1.0
-    if n > 1:
-        table[1] = x
-    for l in range(1, n - 1):
-        table[l + 1] = ((2 * l + 1) * x * table[l] - l * table[l - 1]) / (l + 1)
+    for l, row in enumerate(_legendre_recurrence(n, x)):
+        table[l] = row
     return table
 
 

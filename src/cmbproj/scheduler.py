@@ -1,13 +1,14 @@
 """Static deterministic partitioning of flat iteration spaces, and the
 one place chunks are run.
 
-Both engines sweep a single flattened index range (valid multipole triples
-for the direct engine, (i, j) groups of mapping rows for the separable
-one).  Work is carved into contiguous, balanced, per-worker chunks up
-front, so the chunk each item falls in depends only on the worker count
-(and, for items of unequal size, on their sizes).  ``run_chunks`` runs
-the chunks, in this process or in forked workers that inherit their
-shared inputs, and the engines combine the results in chunk order.
+Both engines sweep a flat sequence of items of unequal size (blocks of
+valid multipole triples for the direct engine, (i, j) groups of mapping
+rows for the separable one).  ``make_weighted_plan`` carves the items
+into contiguous per-worker chunks balanced by their sizes up front, so
+the chunk each item falls in depends only on the worker count and the
+sizes.  ``run_chunks`` runs the chunks, in this process or in forked
+workers that inherit their shared inputs, and the engines combine the
+results in chunk order.
 """
 
 from __future__ import annotations
@@ -15,28 +16,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate
 
-__all__ = ["make_plan", "make_weighted_plan", "run_chunks", "chunk_inputs"]
+__all__ = ["make_weighted_plan", "run_chunks", "chunk_inputs"]
 
 # the inputs of the running ``run_chunks`` call, set only while it runs;
 # forked workers inherit them
 _shared: dict = {}
-
-
-def make_plan(total: int, workers: int) -> tuple[tuple[int, int], ...]:
-    """Contiguous disjoint half-open ranges covering [0, total), one per
-    worker: the first (total mod workers) get the ceiling share, the rest
-    the floor share."""
-    if total < 0 or workers < 1:
-        raise ValueError("require total >= 0 and workers >= 1")
-    base, extra = divmod(total, workers)
-    ranges = []
-    start = 0
-    for w in range(workers):
-        size = base + (1 if w < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    assert start == total
-    return tuple(ranges)
 
 
 def make_weighted_plan(sizes, workers: int) -> tuple[tuple[int, int], ...]:

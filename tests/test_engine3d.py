@@ -293,10 +293,15 @@ class TestPoolJobs:
         domain = cp.enumerate_domain(2, 24)
         wr2 = (cp.integration_weights(pr.grid.r, "hermite")
                * pr.grid.r**2)[None]
-        # the same chunks swept in this process and summed in order
+        # the same chunks of whole 64-triple blocks, swept in this process
+        # and summed in order
+        sizes = [min(64, domain.count - b0)
+                 for b0 in range(0, domain.count, 64)]
+        ranges = [(64 * start, min(64 * stop, domain.count))
+                  for start, stop in cp.make_weighted_plan(sizes, workers)]
         partials = [e3._sweep(start, stop, pr.tables, pr.mapping, wr2,
                               domain, "exact", 64)
-                    for start, stop in cp.make_plan(domain.count, workers)]
+                    for start, stop in ranges]
         expected = partials[0]
         for part in partials[1:]:
             expected += part
@@ -305,7 +310,7 @@ class TestPoolJobs:
         g = cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid, "exact",
                               "hermite", block=64, workers=workers,
                               domain=domain)
-        assert len(jobs) == (workers if workers > 1 else 0)
+        assert jobs == (ranges if workers > 1 else [])
         assert all(len(pickle.dumps(job)) < 1024 for job in jobs)
         assert np.array_equal(g.values, expected[0])
 

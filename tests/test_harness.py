@@ -1,5 +1,7 @@
+import json
 import os
 import stat
+import struct
 import threading
 
 import numpy as np
@@ -9,8 +11,8 @@ import cmbproj as cp
 from cmbproj.cli import _KEYS, build_parser, config_from_args
 from cmbproj.cli import main as cli_main
 from cmbproj.gamma import GammaMatrix
-from cmbproj.harness import (MODES, ConfigError, GammaFormatError,
-                              write_rows_csv)
+from cmbproj.harness import MODES, ConfigError, GammaFormatError
+from conftest import Problem
 
 
 def _gamma(values):
@@ -66,6 +68,32 @@ class TestMaxRelDeviation:
         assert cp.max_rel_deviation(a, b) == cp.max_rel_deviation(b, a)
 
 
+def _bin_file(meta: bytes, meta_len=None) -> bytes:
+    """A 2x2 MGAM version 2 file with the given meta bytes and length."""
+    meta_len = len(meta) if meta_len is None else meta_len
+    return (b"MGAM" + struct.pack("<IIII", 2, 2, 2, meta_len) + meta
+            + np.arange(4.0).astype("<f8").tobytes())
+
+
+# (format, file content, message) of files that must be refused
+CORRUPT_FILES = {
+    "csv-v1": ("csv", b"# modalgamma v1 engine=modal2d nmax=2 lmin=2 "
+                      b"lmax=8 integrator=trap\n1,2\n3,4\n", "header"),
+    "bin-v1": ("bin", b"MGAM" + struct.pack("<III", 1, 2, 2)
+                      + np.arange(4.0).astype("<f8").tobytes(), "version"),
+    "csv-invalid-json": ("csv", b"# modalgamma v2 2 2 {engine\n1,2\n3,4\n",
+                         "meta"),
+    "bin-invalid-json": ("bin", _bin_file(b"{engine"), "meta"),
+    "csv-not-object": ("csv", b"# modalgamma v2 2 2 [1, 2]\n1,2\n3,4\n",
+                       "not a JSON object"),
+    "bin-not-object": ("bin", _bin_file(b"[1, 2]"), "not a JSON object"),
+    # nesting past the interpreter's recursion limit
+    "bin-deep-json": ("bin", _bin_file(b"[" * 100000), "meta"),
+    "bin-meta-past-end": ("bin", _bin_file(b"{}", meta_len=1000),
+                          "truncated meta"),
+}
+
+
 class TestSerialization:
     @pytest.fixture
     def matrix(self, rng):
@@ -78,18 +106,29 @@ class TestSerialization:
         loaded = cp.deserialize_gamma(path, fmt)
         # %.17g and little-endian f8 are both lossless for float64
         assert np.array_equal(loaded.values, matrix.values)
+        assert loaded.meta == matrix.meta
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_square_round_trip(self, tmp_path, fmt):
+        matrix = GammaMatrix(np.arange(6.0).reshape(2, 3), {})
+        path = tmp_path / f"gamma.{fmt}"
+        cp.serialize_gamma(matrix, path, fmt)
+        loaded = cp.deserialize_gamma(path, fmt)
+        assert np.array_equal(loaded.values, matrix.values)
+        assert loaded.meta == {}
 
     def test_csv_header_records_provenance(self, tmp_path, matrix):
         path = tmp_path / "gamma.csv"
         cp.serialize_gamma(matrix, path, "csv")
         header = path.read_text().splitlines()[0]
-        assert header.startswith("# modalgamma v1")
-        assert "engine=modal2d" in header and "nmax=5" in header
+        assert header == ("# modalgamma v2 5 5 "
+                          + json.dumps(matrix.meta, sort_keys=True))
 
     def test_csv_corrupt_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         for text in ("not a header\n1,2\n3,4\n",
-                     "# modalgamma v1 engine=x nmax=2 lmin\n1,2\n3,4\n"):
+                     "# modalgamma v2 2 x {}\n1,2\n3,4\n",
+                     "# modalgamma v2 2 2\n1,2\n3,4\n"):
             path.write_text(text)
             with pytest.raises(GammaFormatError, match="header"):
                 cp.deserialize_gamma(path, "csv")
@@ -99,9 +138,17 @@ class TestSerialization:
                              ids=["non-numeric", "nan", "inf", "ragged"])
     def test_csv_corrupt_cells(self, tmp_path, body):
         path = tmp_path / "bad.csv"
-        path.write_text("# modalgamma v1 engine=x nmax=2\n" + body)
+        path.write_text("# modalgamma v2 2 2 {}\n" + body)
         with pytest.raises(GammaFormatError):
             cp.deserialize_gamma(path, "csv")
+
+    @pytest.mark.parametrize("case", list(CORRUPT_FILES))
+    def test_corrupt_file_refused(self, tmp_path, case):
+        fmt, content, message = CORRUPT_FILES[case]
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(content)
+        with pytest.raises(GammaFormatError, match=message):
+            cp.deserialize_gamma(path, fmt)
 
     def test_bin_nan_cell(self, tmp_path, matrix):
         path = tmp_path / "gamma.bin"
@@ -139,10 +186,11 @@ class TestSerialization:
             cp.serialize_gamma(matrix, tmp_path / "x", "json")
 
     @pytest.mark.parametrize("writer", ["gamma-csv", "rows-csv"])
-    def test_failed_write_keeps_earlier_file(self, tmp_path, matrix, writer):
+    def test_failed_write_keeps_earlier_file(self, tmp_path, matrix, writer,
+                                             monkeypatch, capsys):
         class Unprintable:
             def __str__(self):
-                raise RuntimeError("disk full")
+                raise OSError("disk full")
 
         path = tmp_path / "out.csv"
         path.write_text("earlier\n")
@@ -152,9 +200,13 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 cp.serialize_gamma(matrix, path, "csv")
         else:
-            rows = [{"a": 1.0}, {"a": Unprintable()}]
-            with pytest.raises(RuntimeError):
-                write_rows_csv(rows, cp.RunConfig(), path)
+            # a study row that fails to format, written by the CLI
+            monkeypatch.setattr("cmbproj.cli.run_convergence_study",
+                                lambda config: [{"a": 1.0},
+                                                {"a": Unprintable()}])
+            assert cli_main(["--mode", "convergence", "--lmax", "8",
+                             "--out", str(path)]) == 4
+            assert "disk full" in capsys.readouterr().err
         assert path.read_text() == "earlier\n"
         assert os.listdir(tmp_path) == ["out.csv"]
 
@@ -170,7 +222,64 @@ class TestSerialization:
         assert not reader.is_alive()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert sorted(os.listdir(tmp_path)) == ["pipe"]
-        assert received[0][:4] == b"MGAM" and len(received[0]) == 16 + 200
+        meta = json.dumps(matrix.meta, sort_keys=True).encode("utf-8")
+        assert received[0][:4] == b"MGAM"
+        assert len(received[0]) == 20 + len(meta) + 200
+        assert received[0][20:20 + len(meta)] == meta
+
+
+class TestEngineMatrixFiles:
+    """Every engine's and oracle's matrix reads back bitwise, with its
+    whole meta."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return Problem(l_min=2, l_max=8, p_max=2, n_r=20)
+
+    @pytest.fixture(scope="class")
+    def matrices(self, tiny):
+        args = (tiny.tables, tiny.mapping, tiny.grid)
+        trap, _, spline = cp.gamma3d_matrices(*args)
+        return {
+            "gamma2d": cp.gamma2d_matrix(*args, tiny.rule, tiny.legendre,
+                                         integrator="hermite", workers=2),
+            "gamma3d-gosper": cp.gamma3d_matrix(*args, "gosper", "spline",
+                                                block=16),
+            "gamma3d-exact": cp.gamma3d_matrix(*args, "exact", workers=2),
+            "gamma3d-stack-trap": trap,
+            "gamma3d-stack-spline": spline,
+            "gamma2d-naive": cp.gamma2d_matrix_naive(*args, tiny.rule,
+                                                     tiny.legendre),
+            "gamma3d-naive": cp.gamma3d_naive(*args, "exact"),
+            "gamma3d-unordered": cp.gamma3d_unordered_reference(*args),
+        }
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_round_trip(self, tmp_path, matrices, fmt):
+        for name, g in matrices.items():
+            path = tmp_path / f"{name}.{fmt}"
+            cp.serialize_gamma(g, path, fmt)
+            back = cp.deserialize_gamma(path, fmt)
+            assert np.array_equal(back.values, g.values), name
+            assert back.meta == g.meta, name
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_numpy_integer_knobs_round_trip(self, tmp_path, tiny, fmt):
+        g3 = cp.gamma3d_matrix(tiny.tables, tiny.mapping, tiny.grid,
+                               block=np.int64(16), workers=np.int64(1))
+        g2 = cp.gamma2d_matrix(tiny.tables, tiny.mapping, tiny.grid,
+                               tiny.rule, tiny.legendre,
+                               workers=np.int64(2))
+        for g in (g3, g2):
+            assert all(type(g.meta[key]) is int
+                       for key in ("workers", "l_min", "l_max"))
+            path = tmp_path / f"{g.meta['engine']}.{fmt}"
+            cp.serialize_gamma(g, path, fmt)
+            back = cp.deserialize_gamma(path, fmt)
+            assert np.array_equal(back.values, g.values)
+            assert back.meta == g.meta
+        assert type(g3.meta["block"]) is int
+        assert type(g2.meta["n_mu"]) is int
 
 
 class TestRunConfig:
@@ -298,16 +407,6 @@ class TestRunModes:
         cp.run_convergence_study(cfg, ladder=ladder)
         assert [n for n, _ in calls] == [harness.GOLD_R, *ladder]
 
-    def test_write_rows_csv(self, tmp_path):
-        cfg = cp.RunConfig(mode="convergence")
-        rows = [{"path": "a", "seconds": 1.5}, {"path": "b", "seconds": 2.0}]
-        path = tmp_path / "rows.csv"
-        write_rows_csv(rows, cfg, path)
-        text = path.read_text().splitlines()
-        assert text[0].startswith("# ")
-        assert "path,seconds" in text
-        assert text[-1] == "b,2"
-
 
 class TestConfigFile:
     # one non-default, valid value per key of the flag/config-file table
@@ -384,7 +483,27 @@ class TestCli:
                        "--out", str(out), "--format", "bin"])
         assert rc == 0
         assert out.read_bytes()[:4] == b"MGAM"
-        assert cp.deserialize_gamma(out, "bin").shape == (4, 4)
+        loaded = cp.deserialize_gamma(out, "bin")
+        assert loaded.shape == (4, 4)
+        # the file keeps the engine's provenance, not just the values
+        g = cp.run_gamma(cp.RunConfig(mode="gamma3d", l_min=2, l_max=8,
+                                      p_max=2, r_samples=30))
+        assert loaded.meta == g.meta
+        assert loaded.meta["h2_mode"] == "gosper"
+        assert loaded.meta["integrator"] == "trap"
+        assert {"tables", "grid", "mapping"} <= loaded.meta.keys()
+        assert np.array_equal(loaded.values, g.values)
+
+    @pytest.mark.parametrize("case", list(CORRUPT_FILES))
+    def test_corrupt_matrix_file_exit_4(self, tmp_path, monkeypatch,
+                                        capsys, case):
+        fmt, content, _ = CORRUPT_FILES[case]
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(content)
+        monkeypatch.setattr("cmbproj.cli.run_gamma",
+                            lambda config: cp.deserialize_gamma(path, fmt))
+        assert cli_main(["--mode", "gamma2d", *self.ARGS]) == 4
+        assert "i/o error" in capsys.readouterr().err
 
     def test_crosscheck_stdout(self, capsys):
         rc = cli_main(["--mode", "crosscheck", *self.ARGS])
