@@ -55,6 +55,16 @@ def _l_weight(tables: BasisTables) -> np.ndarray:
     return (2.0 * ells + 1.0) / (tables.v * np.sqrt(tables.C))
 
 
+def _check_ptable_budget(p: int, n_radial: int, n_mu: int) -> None:
+    """Refuse a [p, p, R, n_mu] P table larger than ``MEMORY_BUDGET``; its
+    size is known before the tables or the mu rule are built."""
+    need = p * p * n_radial * n_mu * 8
+    if need > MEMORY_BUDGET:
+        raise MemoryError(
+            f"P table needs {need} bytes but the budget allows "
+            f"{MEMORY_BUDGET}")
+
+
 def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
                  legendre: np.ndarray) -> np.ndarray:
     """Precompute P[a, b, x, m] = sum_l lweight_l qtilde_b(r_x, l) q_a(l)
@@ -70,11 +80,7 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
     p = tables.p_max
     n_r = tables.n_radial
     n_mu = rule.n
-    need = p * p * n_r * n_mu * 8
-    if need > MEMORY_BUDGET:
-        raise MemoryError(
-            f"P table needs {need} bytes but the budget allows "
-            f"{MEMORY_BUDGET}")
+    _check_ptable_budget(p, n_r, n_mu)
     if n_mu < min_mu_points(tables.l_max):
         raise ValueError(
             f"mu rule has {n_mu} nodes but l_max={tables.l_max} needs "

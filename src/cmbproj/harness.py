@@ -5,6 +5,13 @@ configuration, the RMSE comparison between unit-normalised matrices, the
 integrator convergence study, the cross-check between the separable and
 direct engines and the matrix file formats, which keep a matrix's whole
 provenance ``meta`` and give it back on reading.
+
+``run_gamma`` builds a configuration's inputs (grid and tables, default
+mapping, mu rule with its Legendre table, triple domain) once per
+process and reuses them for later requests with the same values: they
+are kept, with read-only arrays, in private memos bounded by entry count
+and entry size.  The cross-check and the convergence study build their
+inputs afresh on every call.
 """
 
 from __future__ import annotations
@@ -13,17 +20,20 @@ import json
 import os
 import struct
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from .basis import (default_mode_mapping, default_radial_grid,
                     load_mode_mapping, synthesize_basis)
-from .engine2d import default_mu_points, gamma2d_matrix, min_mu_points
+from .engine2d import (_check_ptable_budget, default_mu_points,
+                       gamma2d_matrix, min_mu_points)
 from .engine3d import DEFAULT_BLOCK, gamma3d_matrices, gamma3d_matrix
 from .gamma import GammaMatrix
 from .geometry import H2_MODES, enumerate_domain, h2_exact, h2_gosper
-from .quadrature import INTEGRATORS, gauss_legendre, legendre_table
+from .quadrature import (_RULE_CACHE, INTEGRATORS, gauss_legendre,
+                         legendre_table)
 
 __all__ = [
     "ConfigError",
@@ -120,12 +130,65 @@ class RunConfig:
         return [f"# {k}={d[k]}" for k in sorted(d)]
 
 
-def _problem(config: RunConfig):
-    """Tables, mapping and grid for a configuration."""
-    grid = default_radial_grid(config.r_samples)
-    tables = synthesize_basis(config.p_max, config.l_min, config.l_max, grid)
+# run_gamma keeps each configuration's inputs per process, keyed by the
+# config values they depend on: at most _RULE_CACHE per kind, the least
+# recently used dropped first, and none whose arrays exceed _MEMO_BYTES
+_MEMO_BYTES = 1 << 20
+_MEMOS = {kind: OrderedDict()
+          for kind in ("tables", "mapping", "mu", "domain")}
+
+
+def _grid_and_tables(p_max, l_min, l_max, r_samples):
+    grid = default_radial_grid(r_samples)
+    tables = synthesize_basis(p_max, l_min, l_max, grid)
+    return (grid, tables), (grid.r, tables.q, tables.q_tilde, tables.C,
+                            tables.v)
+
+
+def _default_mapping(p_max):
+    mapping = default_mode_mapping(p_max)
+    return mapping, (mapping.entries,)
+
+
+def _mu_tables(n_mu, l_max):
+    rule = gauss_legendre(n_mu)
+    legendre = legendre_table(l_max, rule)
+    return (rule, legendre), (rule.nodes, rule.weights, legendre)
+
+
+def _domain(l_min, l_max):
+    domain = enumerate_domain(l_min, l_max)
+    return domain, (domain.l1, domain.l2, domain.l3)
+
+
+def _input(kind, key, build, keep):
+    """``build(*key)``'s value.  With ``keep`` it comes from the memo
+    ``kind``: on a miss it is built by the public constructors and kept,
+    its arrays made read-only, unless they exceed ``_MEMO_BYTES``."""
+    if not keep:
+        return build(*key)[0]
+    memo = _MEMOS[kind]
+    value = memo.pop(key, None)
+    if value is None:
+        value, arrays = build(*key)
+        if sum(a.nbytes for a in arrays) > _MEMO_BYTES:
+            return value
+        for a in arrays:
+            a.flags.writeable = False
+    memo[key] = value
+    if len(memo) > _RULE_CACHE:
+        memo.popitem(last=False)
+    return value
+
+
+def _problem(config: RunConfig, keep: bool = False):
+    """Tables, mapping and grid for a configuration, kept in the memos if
+    ``keep``; a mapping file is read on every call."""
+    grid, tables = _input("tables", (config.p_max, config.l_min,
+                                     config.l_max, config.r_samples),
+                          _grid_and_tables, keep)
     if config.mapping == "default":
-        mapping = default_mode_mapping(config.p_max)
+        mapping = _input("mapping", (config.p_max,), _default_mapping, keep)
     else:
         mapping = load_mode_mapping(config.mapping)
         if mapping.p_max > config.p_max:
@@ -135,10 +198,13 @@ def _problem(config: RunConfig):
     return tables, mapping, grid
 
 
-def _mu_quadrature(config: RunConfig):
-    """The separable engine's mu rule and its Legendre table."""
-    rule = gauss_legendre(config.resolved_mu_points())
-    return rule, legendre_table(config.l_max, rule)
+def _mu_quadrature(config: RunConfig, keep: bool = False):
+    """The separable engine's mu rule and its Legendre table, kept in the
+    memos if ``keep``.  An over-budget P table is refused first, before
+    the O(n^2) rule is built."""
+    n_mu = config.resolved_mu_points()
+    _check_ptable_budget(config.p_max, config.r_samples, n_mu)
+    return _input("mu", (n_mu, config.l_max), _mu_tables, keep)
 
 
 # ----------------------------------------------------------------------
@@ -276,17 +342,19 @@ def deserialize_gamma(path, fmt: str = "csv") -> GammaMatrix:
             n_rows, n_cols = int(head[3]), int(head[4])
         except ValueError as exc:
             raise GammaFormatError("corrupt header") from exc
-        rows = [line for line in lines[1:] if line.strip()]
+        rows = lines[1:]
         if len(rows) != n_rows:
             raise GammaFormatError(
                 f"dimension mismatch: header says {n_rows} rows, "
                 f"found {len(rows)}")
-        cells = [row.split(",") for row in rows]
+        # a row with no columns is an empty line
+        cells = [row.split(",") if row else [] for row in rows]
         if any(len(row) != n_cols for row in cells):
             raise GammaFormatError(
                 f"dimension mismatch: expected {n_cols} columns per row")
         try:
-            values = np.array([[float(x) for x in row] for row in cells])
+            values = np.array([[float(x) for x in row] for row in cells],
+                              dtype=np.float64).reshape(n_rows, n_cols)
         except ValueError as exc:
             raise GammaFormatError(f"non-numeric cell: {exc}") from exc
         return _read_matrix(values, head[5])
@@ -313,19 +381,27 @@ def deserialize_gamma(path, fmt: str = "csv") -> GammaMatrix:
 # ----------------------------------------------------------------------
 
 def run_gamma(config: RunConfig) -> GammaMatrix:
-    """Compute the matrix with the configured engine."""
+    """Compute the matrix with the configured engine.
+
+    A configuration's grid and tables, default mapping, mu rule with its
+    Legendre table and triple domain are built once per process and
+    reused, read-only, by later calls with the same values.
+    """
     config.validate()
-    tables, mapping, grid = _problem(config)
+    tables, mapping, grid = _problem(config, keep=True)
     if config.mode == "gamma2d":
-        rule, legendre = _mu_quadrature(config)
+        rule, legendre = _mu_quadrature(config, keep=True)
         return gamma2d_matrix(tables, mapping, grid, rule, legendre,
                               integrator=config.integrator,
                               workers=config.workers)
     if config.mode == "gamma3d":
+        domain = _input("domain", (config.l_min, config.l_max), _domain,
+                        keep=True)
         return gamma3d_matrix(tables, mapping, grid,
                               h2_mode=config.h2_mode,
                               integrator=config.integrator,
-                              block=config.block, workers=config.workers)
+                              block=config.block, workers=config.workers,
+                              domain=domain)
     raise ConfigError(f"mode {config.mode!r} does not produce a matrix")
 
 

@@ -117,6 +117,18 @@ class TestSerialization:
         assert np.array_equal(loaded.values, matrix.values)
         assert loaded.meta == {}
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)],
+                             ids=["0x3", "3x0", "0x0"])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_empty_matrix_round_trip(self, tmp_path, fmt, shape):
+        matrix = GammaMatrix(np.zeros(shape), {"engine": "none", "n": 0})
+        path = tmp_path / f"gamma.{fmt}"
+        cp.serialize_gamma(matrix, path, fmt)
+        loaded = cp.deserialize_gamma(path, fmt)
+        assert loaded.shape == shape
+        assert np.array_equal(loaded.values, matrix.values)
+        assert loaded.meta == matrix.meta
+
     def test_csv_header_records_provenance(self, tmp_path, matrix):
         path = tmp_path / "gamma.csv"
         cp.serialize_gamma(matrix, path, "csv")
@@ -408,6 +420,134 @@ class TestRunModes:
         assert [n for n, _ in calls] == [harness.GOLD_R, *ladder]
 
 
+def _memo_arrays(kind, value):
+    """The arrays of one kept input of the memo ``kind``."""
+    if kind == "tables":
+        grid, tables = value
+        return [grid.r, tables.q, tables.q_tilde, tables.C, tables.v]
+    if kind == "mapping":
+        return [value.entries]
+    if kind == "mu":
+        rule, legendre = value
+        return [rule.nodes, rule.weights, legendre]
+    return [value.l1, value.l2, value.l3]
+
+
+class TestInputMemo:
+    """run_gamma keeps a configuration's inputs per process; results stay
+    those of freshly built inputs."""
+
+    CFG = dict(l_min=2, l_max=12, p_max=3, r_samples=30)
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        import cmbproj.harness as harness
+        for memo in harness._MEMOS.values():
+            memo.clear()
+        yield harness._MEMOS
+        for memo in harness._MEMOS.values():
+            memo.clear()
+
+    @staticmethod
+    def _fresh(config):
+        """The matrix of ``config`` from inputs built by the public
+        constructors."""
+        grid = cp.default_radial_grid(config.r_samples)
+        tables = cp.synthesize_basis(config.p_max, config.l_min,
+                                     config.l_max, grid)
+        mapping = cp.default_mode_mapping(config.p_max)
+        if config.mode == "gamma2d":
+            rule = cp.gauss_legendre(config.resolved_mu_points())
+            return cp.gamma2d_matrix(tables, mapping, grid, rule,
+                                     cp.legendre_table(config.l_max, rule),
+                                     integrator=config.integrator)
+        return cp.gamma3d_matrix(tables, mapping, grid,
+                                 h2_mode=config.h2_mode,
+                                 integrator=config.integrator,
+                                 block=config.block)
+
+    @pytest.mark.parametrize("integrator", ["trap", "hermite", "spline"])
+    @pytest.mark.parametrize("mode,h2_mode", [("gamma2d", "exact"),
+                                              ("gamma3d", "gosper"),
+                                              ("gamma3d", "exact")])
+    def test_repeats_match_fresh_inputs(self, empty_memos, mode, h2_mode,
+                                        integrator):
+        config = cp.RunConfig(mode=mode, h2_mode=h2_mode,
+                              integrator=integrator, **self.CFG)
+        want = self._fresh(config)
+        for _ in range(3):
+            got = cp.run_gamma(config)
+            assert np.array_equal(got.values, want.values)
+            assert got.meta == want.meta
+        kinds = {"tables", "mapping",
+                 "mu" if mode == "gamma2d" else "domain"}
+        assert {k for k, memo in empty_memos.items() if memo} == kinds
+        assert all(len(memo) <= 1 for memo in empty_memos.values())
+
+    def test_kept_arrays_are_read_only(self, empty_memos):
+        for mode in ("gamma2d", "gamma3d"):
+            cp.run_gamma(cp.RunConfig(mode=mode, **self.CFG))
+        for kind, memo in empty_memos.items():
+            assert len(memo) == 1, kind
+            for array in _memo_arrays(kind, next(iter(memo.values()))):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 0
+        # the public constructors still return fresh, writable objects
+        (grid, tables), = empty_memos["tables"].values()
+        fresh = cp.synthesize_basis(3, 2, 12, cp.default_radial_grid(30))
+        assert fresh is not tables
+        assert fresh.q_tilde.flags.writeable
+        assert cp.default_radial_grid(30).r.flags.writeable
+        assert cp.default_mode_mapping(3).entries.flags.writeable
+        assert cp.enumerate_domain(2, 12).l3.flags.writeable
+
+    def test_mapping_file_read_on_every_call(self, tmp_path):
+        path = tmp_path / "run.map"
+        default = cp.default_mode_mapping(3)
+        first = cp.ModeMapping(default.entries[::-1], 3)
+        second = cp.ModeMapping(default.entries[:4], 3)
+        config = cp.RunConfig(mode="gamma3d", mapping=str(path), **self.CFG)
+        for mapping in (first, second):
+            cp.save_mode_mapping(mapping, path)
+            got = cp.run_gamma(config)
+            assert got.meta["mapping"] == mapping.fingerprint()
+            assert got.shape == (mapping.n_max, mapping.n_max)
+
+    def test_entry_count_bounded(self, empty_memos):
+        import cmbproj.harness as harness
+        bound = harness._RULE_CACHE
+        radii = range(12, 12 + bound + 5)
+        for n_r in radii:
+            cp.run_gamma(cp.RunConfig(mode="gamma3d", l_min=2, l_max=4,
+                                      p_max=1, r_samples=n_r))
+        tables = empty_memos["tables"]
+        assert len(tables) == bound
+        # the least recently used are dropped first
+        assert [key[3] for key in tables] == list(radii)[-bound:]
+
+    def test_oversize_input_built_not_kept(self, empty_memos):
+        import cmbproj.harness as harness
+        config = cp.RunConfig(mode="gamma2d", l_min=2, l_max=80, p_max=1,
+                              r_samples=1768)
+        grid = cp.default_radial_grid(config.r_samples)
+        tables = cp.synthesize_basis(1, 2, 80, grid)
+        assert tables.q_tilde.nbytes > harness._MEMO_BYTES
+        want = self._fresh(config)
+        for _ in range(2):
+            got = cp.run_gamma(config)
+            assert np.array_equal(got.values, want.values)
+            assert got.meta == want.meta
+        assert not empty_memos["tables"]
+        assert len(empty_memos["mu"]) == 1
+
+    def test_crosscheck_and_study_leave_memos_empty(self, empty_memos):
+        cp.run_crosscheck(cp.RunConfig(mode="crosscheck", **self.CFG))
+        cp.run_convergence_study(
+            cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2),
+            ladder=(30,))
+        assert not any(empty_memos.values())
+
+
 class TestConfigFile:
     # one non-default, valid value per key of the flag/config-file table
     SAMPLES = {"mode": "gamma3d", "lmin": "3", "lmax": "10", "pmax": "2",
@@ -583,6 +723,18 @@ class TestCli:
         monkeypatch.setattr("cmbproj.cli.run_gamma", boom)
         assert cli_main(["--mode", "gamma2d", *self.ARGS]) == 3
         assert "numerical error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["gamma2d", "crosscheck"])
+    def test_ptable_budget_before_mu_rule(self, mode, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"a {n}-node mu rule was built")
+        monkeypatch.setattr("cmbproj.harness.gauss_legendre", refuse)
+        monkeypatch.setattr("cmbproj.quadrature.gauss_legendre", refuse)
+        # 4 * 4 * 1768 * 20000 * 8 bytes = 4.5 GB, past the 2 GiB budget
+        rc = cli_main(["--mode", mode, "--lmax", "32", "--pmax", "4",
+                       "--r-samples", "1768", "--mu-points", "20000"])
+        assert rc == 3
+        assert "P table needs 4526080000 bytes" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         import shutil
