@@ -1,9 +1,10 @@
 """Exact vs approximate geometric triangle weights.
 
 Walks the sparse triangular multipole domain, compares the closed-form
-approximation against the exact log-factorial evaluation, and shows that
-the approximation error is set by the triangle slack (distance from the
-flattened boundary l3 = l1 + l2), not by the multipole magnitudes.
+approximation against the exact weight (a running product of central
+binomial ratios, good to a few ulp), and shows that the approximation
+error is set by the triangle slack (distance from the flattened boundary
+l3 = l1 + l2), not by the multipole magnitudes.
 """
 
 import numpy as np

@@ -24,14 +24,11 @@ __all__ = [
     "BasisTables",
     "RadialGrid",
     "MappingFormatError",
-    "BasisFormatError",
     "default_mode_mapping",
     "load_mode_mapping",
     "save_mode_mapping",
     "default_radial_grid",
     "synthesize_basis",
-    "save_basis",
-    "load_basis",
 ]
 
 # Radial peak parameters (plumbing constants; the physical input only pins
@@ -44,10 +41,6 @@ R_MAX_DEFAULT = 16000.0
 
 class MappingFormatError(ValueError):
     """Malformed mode-mapping file."""
-
-
-class BasisFormatError(ValueError):
-    """Malformed basis-table file."""
 
 
 def _sha256(*chunks) -> str:
@@ -306,87 +299,3 @@ def synthesize_basis(p_max: int, l_min: int, l_max: int,
     return BasisTables(q=q, q_tilde=q_tilde, C=C, v=v,
                        l_min=l_min, l_max=l_max)
 
-
-# ----------------------------------------------------------------------
-# basis-table file format ("modalbasis v1")
-# ----------------------------------------------------------------------
-
-def save_basis(tables: BasisTables, grid: RadialGrid, path) -> None:
-    """Write tables plus the radial grid in the ``modalbasis v1`` format."""
-    def emit(f, arr):
-        np.savetxt(f, np.asarray(arr).reshape(1, -1), fmt="%.17g")
-
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"modalbasis v1 p_max={tables.p_max} lmin={tables.l_min} "
-                f"lmax={tables.l_max} R={tables.n_radial}\n")
-        f.write("[C]\n")
-        emit(f, tables.C)
-        f.write("[v]\n")
-        emit(f, tables.v)
-        f.write("[q]\n")
-        emit(f, tables.q)            # row-major, l fastest
-        f.write("[r]\n")
-        emit(f, grid.r)
-        f.write("[qtilde]\n")
-        emit(f, tables.q_tilde)      # row-major (i, x, l), l fastest
-
-
-def load_basis(path) -> tuple[BasisTables, RadialGrid]:
-    """Read a ``modalbasis v1`` file back into tables plus radial grid."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise BasisFormatError("empty basis file")
-    header = lines[0].split()
-    if len(header) != 6 or header[0] != "modalbasis" or header[1] != "v1":
-        raise BasisFormatError(f"bad header line: {lines[0]!r}")
-    try:
-        fields = dict(kv.split("=") for kv in header[2:])
-        p_max = int(fields["p_max"])
-        l_min = int(fields["lmin"])
-        l_max = int(fields["lmax"])
-        n_r = int(fields["R"])
-    except (ValueError, KeyError) as exc:
-        raise BasisFormatError(f"bad header line: {lines[0]!r}") from exc
-
-    sections: dict[str, list[str]] = {}
-    current = None
-    for line in lines[1:]:
-        s = line.strip()
-        if not s:
-            continue
-        if s.startswith("[") and s.endswith("]"):
-            current = s[1:-1]
-            sections[current] = []
-        elif current is None:
-            raise BasisFormatError(f"data before first section: {s!r}")
-        else:
-            sections[current].append(s)
-
-    L = l_max - l_min + 1
-    want = {"C": (L,), "v": (L,), "q": (p_max, L),
-            "r": (n_r,), "qtilde": (p_max, n_r, L)}
-    arrays = {}
-    for name, shape in want.items():
-        if name not in sections:
-            raise BasisFormatError(f"missing section [{name}]")
-        try:
-            flat = np.array(" ".join(sections[name]).split(),
-                            dtype=np.float64)
-        except ValueError as exc:
-            raise BasisFormatError(
-                f"non-numeric value in section [{name}]") from exc
-        if flat.size != int(np.prod(shape)):
-            raise BasisFormatError(
-                f"section [{name}] has {flat.size} values, "
-                f"expected {int(np.prod(shape))}")
-        arrays[name] = flat.reshape(shape)
-
-    grid_r = arrays["r"]
-    lo = R_PEAK - 5 * R_SIGMA
-    hi = R_PEAK + 5 * R_SIGMA
-    grid = RadialGrid(grid_r, (lo, hi))
-    tables = BasisTables(q=arrays["q"], q_tilde=arrays["qtilde"],
-                         C=arrays["C"], v=arrays["v"],
-                         l_min=l_min, l_max=l_max)
-    return tables, grid

@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import NamedTuple
 
-from .basis import BasisFormatError, MappingFormatError
+from .basis import MappingFormatError
 from .geometry import H2_MODES
 from .harness import (FORMATS, INTEGRATOR_NAMES, MODES, ConfigError,
                       GammaFormatError, RunConfig, _csv_lines, _write_lines,
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
             ZeroDivisionError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, GammaFormatError, BasisFormatError) as exc:
+    except (OSError, GammaFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -3,7 +3,8 @@
 The coupling of three multipoles (l1, l2, l3) on the sphere is weighted by
 h^2, the squared (0,0,0)-column Wigner 3j symbol times (2l+1) factors.
 h^2 vanishes unless the multipoles close into a triangle and their sum is
-even.  Everything here is a pure function of the multipoles (plus optional
+even; ``h2_exact`` gives it to a few ulp, ``h2_gosper`` approximates it.
+Everything here is a pure function of the multipoles (plus optional
 per-l weight tables), vectorised over numpy arrays where useful.
 """
 
@@ -26,24 +27,6 @@ __all__ = [
 H2_MODES = ("gosper", "exact")
 
 
-# ----------------------------------------------------------------------
-# log-factorial table, grown on demand (needed up to (l1+l2+l3+1)!)
-# ----------------------------------------------------------------------
-
-_LOG_FACT = np.zeros(1)
-
-
-def _log_factorials(n_max: int) -> np.ndarray:
-    """Return a table t with t[k] = log(k!) for 0 <= k <= n_max."""
-    global _LOG_FACT
-    if len(_LOG_FACT) <= n_max:
-        size = max(n_max + 1, 2 * len(_LOG_FACT))
-        t = np.zeros(size)
-        t[1:] = np.cumsum(np.log(np.arange(1, size)))
-        _LOG_FACT = t
-    return _LOG_FACT
-
-
 def theta_indicator(l1, l2, l3):
     """Top-hat indicator: 1 where (l1,l2,l3) closes a triangle and the sum
     is even, 0 elsewhere.  Accepts scalars or broadcastable arrays."""
@@ -60,10 +43,11 @@ def theta_indicator(l1, l2, l3):
 def h2_exact(l1, l2, l3):
     """Exact geometric weight h^2 = (2l1+1)(2l2+1)(2l3+1)/(4pi) * 3j(l;000)^2.
 
-    The squared 3j symbol is evaluated through the Racah closed form for
-    zero magnetic quantum numbers, in the log-factorial domain so that
-    multipoles up to several thousand stay in range.  Returns exactly 0
-    where the triangle or parity condition fails.
+    With g = (l1+l2+l3)/2 and kappa[n] = C(2n, n)/4^n, the running product
+    of (2k-1)/(2k) over k <= n, 3j(l;000)^2 = kappa[g-l1] kappa[g-l2]
+    kappa[g-l3] / ((2g+1) kappa[g]).  No factor exceeds 1, so any
+    multipole stays in range, and no logarithm costs accuracy.  Returns
+    exactly 0 where the triangle or parity condition fails.
     """
     l1 = np.asarray(l1, dtype=np.int64)
     l2 = np.asarray(l2, dtype=np.int64)
@@ -76,17 +60,13 @@ def h2_exact(l1, l2, l3):
     out = np.zeros(l1.shape)
     if np.any(theta):
         a, b, c = l1[theta], l2[theta], l3[theta]
-        L = a + b + c
-        g = L // 2
-        lf = _log_factorials(int(L.max()) + 1)
-        # 3j(a,b,c;0,0,0)^2 =
-        #   (L-2a)!(L-2b)!(L-2c)!/(L+1)! * [g!/((g-a)!(g-b)!(g-c)!)]^2
-        log3j2 = (
-            lf[L - 2 * a] + lf[L - 2 * b] + lf[L - 2 * c] - lf[L + 1]
-            + 2.0 * (lf[g] - lf[g - a] - lf[g - b] - lf[g - c])
-        )
+        g = (a + b + c) // 2
+        k = np.arange(1, int(g.max()) + 1)
+        kappa = np.cumprod(np.r_[1.0, (2 * k - 1) / (2 * k)])
+        threej2 = (kappa[g - a] * kappa[g - b] * kappa[g - c]
+                   / ((2 * g + 1) * kappa[g]))
         pref = (2 * a + 1) * (2 * b + 1) * (2 * c + 1) / (4.0 * np.pi)
-        out[theta] = pref * np.exp(log3j2)
+        out[theta] = pref * threej2
     return float(out[0]) if scalar else out.reshape(np.shape(theta))
 
 

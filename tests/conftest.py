@@ -1,4 +1,6 @@
+import math
 import multiprocessing
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,25 @@ class Problem:
         self.mapping = cp.default_mode_mapping(p_max)
         self.rule = cp.gauss_legendre(n_mu or default_mu_points(l_max))
         self.legendre = cp.legendre_table(l_max, self.rule)
+
+
+def wigner3j_squared_exact(l1, l2, l3):
+    """Independent oracle: Racah closed form for the (0,0,0) 3j symbol,
+    evaluated in exact rational arithmetic via integer factorials."""
+    L = l1 + l2 + l3
+    if L % 2 == 1:
+        return Fraction(0)
+    if l3 > l1 + l2 or l2 > l1 + l3 or l1 > l2 + l3:
+        return Fraction(0)
+    g = L // 2
+    f = math.factorial
+    return (Fraction(f(L - 2 * l1) * f(L - 2 * l2) * f(L - 2 * l3), f(L + 1))
+            * Fraction(f(g), f(g - l1) * f(g - l2) * f(g - l3)) ** 2)
+
+
+def h2_oracle(l1, l2, l3):
+    return float(wigner3j_squared_exact(l1, l2, l3)) \
+        * (2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4 * math.pi)
 
 
 class RecordingContext:

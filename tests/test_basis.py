@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import cmbproj as cp
-from cmbproj.basis import (MappingFormatError, BasisFormatError, _sha256,
-                           load_basis, radial_peak_weight, save_basis)
+from cmbproj.basis import MappingFormatError, _sha256, radial_peak_weight
 
 
 class TestDefaultModeMapping:
@@ -199,31 +198,3 @@ class TestFingerprint:
             tracemalloc.stop()
         assert peak < 0.1 * t.q_tilde.nbytes
 
-
-class TestBasisFile:
-    def test_round_trip(self, tmp_path):
-        grid = cp.default_radial_grid(20)
-        tables = cp.synthesize_basis(3, 2, 8, grid)
-        path = tmp_path / "basis.txt"
-        save_basis(tables, grid, path)
-        loaded, lgrid = load_basis(path)
-        assert np.array_equal(loaded.q, tables.q)
-        assert np.array_equal(loaded.q_tilde, tables.q_tilde)
-        assert np.array_equal(lgrid.r, grid.r)
-
-    def test_missing_section(self, tmp_path):
-        path = tmp_path / "basis.txt"
-        path.write_text("modalbasis v1 p_max=1 lmin=2 lmax=2 R=2\n[C]\n1\n")
-        with pytest.raises(BasisFormatError, match="missing section"):
-            load_basis(path)
-
-    def test_wrong_count(self, tmp_path):
-        grid = cp.default_radial_grid(20)
-        tables = cp.synthesize_basis(2, 2, 6, grid)
-        path = tmp_path / "basis.txt"
-        save_basis(tables, grid, path)
-        text = path.read_text().splitlines()
-        text[0] = text[0].replace("lmax=6", "lmax=7")
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(BasisFormatError):
-            load_basis(path)

@@ -1,3 +1,4 @@
+import math
 import pickle
 import tracemalloc
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 import cmbproj as cp
-from conftest import Problem, RecordingContext
+from cmbproj.basis import _PERMS3
+from conftest import Problem, RecordingContext, h2_oracle
 
 
 def relative_gap(a, b):
@@ -283,6 +285,43 @@ class TestGosperVsExact:
         # deviation only loosely (mixing of signs); check the rms level
         gap = relative_gap(gosper.values, exact.values)
         assert 0 < gap < 0.025
+
+
+def truth_exact(pr, integrator="trap"):
+    """The exact-mode direct matrix with each cell the ``math.fsum`` of its
+    per-triple terms x * y * z * multiplicity, h^2 from the rational
+    oracle: it shares neither h^2 nor the summation with the engine."""
+    t, m = pr.tables, pr.mapping
+    d = cp.enumerate_domain(pr.l_min, pr.l_max)
+    i1, i2, i3 = d.l1 - pr.l_min, d.l2 - pr.l_min, d.l3 - pr.l_min
+    h2 = np.array([h2_oracle(*triple) for triple in
+                   zip(d.l1.tolist(), d.l2.tolist(), d.l3.tolist())])
+    z = (h2 / (36.0 * t.v[i1] * t.v[i2] * t.v[i3]
+               * np.sqrt(t.C[i1] * t.C[i2] * t.C[i3]))
+         * cp.permutation_multiplicity(d.l1, d.l2, d.l3))
+    wr2 = cp.integration_weights(pr.grid.r, integrator) * pr.grid.r**2
+    e = m.entries
+    x = np.zeros((d.count, m.n_max))
+    y = np.zeros((d.count, m.n_max))
+    for a, b, c in _PERMS3:
+        y += (t.q[e[:, a]][:, i1] * t.q[e[:, b]][:, i2]
+              * t.q[e[:, c]][:, i3]).T
+        x += np.einsum("nrt,nrt,nrt,r->tn", t.q_tilde[e[:, a]][:, :, i1],
+                       t.q_tilde[e[:, b]][:, :, i2],
+                       t.q_tilde[e[:, c]][:, :, i3], wr2)
+    return np.array([[math.fsum(y[:, row] * x[:, col] * z)
+                      for col in range(m.n_max)] for row in range(m.n_max)])
+
+
+class TestExactModeTruth:
+    def test_every_cell_against_fsum_truth(self):
+        # the worst cell's terms cancel by ~115, so this bound also holds
+        # the engine's own summation to a few ulp of its terms
+        pr = Problem(l_min=2, l_max=40, p_max=3, n_r=54)
+        g = cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid, "exact",
+                              "trap")
+        truth = truth_exact(pr)
+        assert np.max(np.abs(g.values / truth - 1)) <= 1e-13
 
 
 class TestPoolJobs:

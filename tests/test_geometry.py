@@ -7,25 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cmbproj as cp
-
-
-def wigner3j_squared_exact(l1, l2, l3):
-    """Independent oracle: Racah closed form for the (0,0,0) 3j symbol,
-    evaluated in exact rational arithmetic via integer factorials."""
-    L = l1 + l2 + l3
-    if L % 2 == 1:
-        return Fraction(0)
-    if l3 > l1 + l2 or l2 > l1 + l3 or l1 > l2 + l3:
-        return Fraction(0)
-    g = L // 2
-    f = math.factorial
-    return (Fraction(f(L - 2 * l1) * f(L - 2 * l2) * f(L - 2 * l3), f(L + 1))
-            * Fraction(f(g), f(g - l1) * f(g - l2) * f(g - l3)) ** 2)
-
-
-def h2_oracle(l1, l2, l3):
-    return float(wigner3j_squared_exact(l1, l2, l3)) \
-        * (2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1) / (4 * math.pi)
+from conftest import h2_oracle, wigner3j_squared_exact
 
 
 def brute_force_triples(l_min, l_max):
@@ -74,7 +56,7 @@ class TestH2Exact:
                                         (10, 20, 30), (33, 41, 60)])
     def test_against_rational_oracle(self, triple):
         assert cp.h2_exact(*triple) == pytest.approx(h2_oracle(*triple),
-                                                     rel=1e-12)
+                                                     rel=1e-14)
 
     def test_sympy_cross_check(self):
         wigner = pytest.importorskip("sympy.physics.wigner")
@@ -83,6 +65,16 @@ class TestH2Exact:
             assert wigner3j_squared_exact(*triple) == pytest.approx(ref,
                                                                     rel=1e-12)
 
+    @pytest.mark.parametrize("l_max", [80, 240, 1000])
+    def test_random_triples_to_working_precision(self, l_max):
+        rng = np.random.default_rng(l_max)
+        t = rng.integers(2, l_max + 1, size=(400, 3))
+        t = t[cp.theta_indicator(t[:, 0], t[:, 1], t[:, 2]) == 1]
+        assert len(t) > 50
+        got = cp.h2_exact(t[:, 0], t[:, 1], t[:, 2])
+        ref = np.array([h2_oracle(*map(int, row)) for row in t])
+        assert np.max(np.abs(got / ref - 1)) <= 1e-14
+
     def test_large_l_no_overflow(self):
         val = cp.h2_exact(5000, 5000, 5000)
         assert np.isfinite(val) and val > 0
@@ -90,9 +82,7 @@ class TestH2Exact:
     @given(st.integers(2, 40), st.integers(2, 40), st.integers(2, 40))
     def test_permutation_symmetry(self, l1, l2, l3):
         vals = {cp.h2_exact(*p) for p in permutations((l1, l2, l3))}
-        # permutations reorder the log-factorial cancellation, so allow
-        # rounding at the summed-magnitude level
-        assert max(vals) - min(vals) <= 1e-12 * max(max(vals), 1.0)
+        assert max(vals) - min(vals) <= 4 * 2.0**-52 * max(vals)
 
 
 class TestH2Gosper:
