@@ -98,12 +98,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            config = config_from_args(args)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-
+        config = config_from_args(args)
         if config.mode in ("gamma2d", "gamma3d"):
             gamma = run_gamma(config)
             if config.out:

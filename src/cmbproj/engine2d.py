@@ -191,8 +191,10 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     weights = np.outer(wr2, rule.weights).ravel()
     groups = _pair_groups(mapping)
     sizes = [len(rows) for _, _, rows, _ in groups]
+    # no worker is forked for an empty chunk
     jobs = [groups[start:stop]
-            for start, stop in make_weighted_plan(sizes, workers)]
+            for start, stop in make_weighted_plan(sizes, workers)
+            if start < stop]
     chunks = run_chunks(get_context, _cells_chunk, jobs, (ptable, weights))
     order = [row for _, _, rows, _ in groups for row in rows]
     t = np.empty((mapping.n_max, tables.p_max**3))

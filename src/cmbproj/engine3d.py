@@ -224,11 +224,14 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
         raise MemoryError(
             f"a block of {b} triples needs {need} bytes but the budget "
             f"allows {MEMORY_BUDGET}")
-    # chunks of whole blocks: a block's triples do not depend on workers
+    # chunks of whole blocks: a block's triples do not depend on workers;
+    # no worker is forked for an empty chunk, and an empty domain sweeps
+    # its empty range in this process
     sizes = [min(block, domain.count - b0)
              for b0 in range(0, domain.count, block)]
     ranges = [(start * block, min(stop * block, domain.count))
-              for start, stop in make_weighted_plan(sizes, workers)]
+              for start, stop in make_weighted_plan(sizes, workers)
+              if start < stop] or [(0, 0)]
     partials = run_chunks(get_context, _sweep_chunk, ranges,
                           (tables, mapping, wr2, domain, h2_mode, block))
     values = partials[0]

@@ -6,12 +6,11 @@ integrator convergence study, the cross-check between the separable and
 direct engines and the matrix file formats, which keep a matrix's whole
 provenance ``meta`` and give it back on reading.
 
-``run_gamma`` builds a configuration's inputs (grid and tables, default
-mapping, mu rule with its Legendre table, triple domain) once per
-process and reuses them for later requests with the same values: they
-are kept, with read-only arrays, in private memos bounded by entry count
-and entry size.  The cross-check and the convergence study build their
-inputs afresh on every call.
+Every run mode reads a configuration's inputs (grid and tables, default
+mapping, mu rule with its Legendre table, triple domain) through private
+memos, the one per-process cache of them: each is built once and reused
+by later runs with the same values, kept with read-only arrays and
+bounded by entry count and entry size.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from .engine2d import (_check_ptable_budget, default_mu_points,
 from .engine3d import DEFAULT_BLOCK, gamma3d_matrices, gamma3d_matrix
 from .gamma import GammaMatrix
 from .geometry import H2_MODES, enumerate_domain, h2_exact, h2_gosper
-from .quadrature import (_RULE_CACHE, INTEGRATORS, gauss_legendre,
-                         legendre_table)
+from .quadrature import INTEGRATORS, gauss_legendre, legendre_table
 
 __all__ = [
     "ConfigError",
@@ -130,9 +128,10 @@ class RunConfig:
         return [f"# {k}={d[k]}" for k in sorted(d)]
 
 
-# run_gamma keeps each configuration's inputs per process, keyed by the
-# config values they depend on: at most _RULE_CACHE per kind, the least
-# recently used dropped first, and none whose arrays exceed _MEMO_BYTES
+# every run mode keeps its inputs per process, keyed by the config values
+# they depend on: at most _MEMO_ENTRIES per kind, the least recently used
+# dropped first, and none whose arrays exceed _MEMO_BYTES
+_MEMO_ENTRIES = 64
 _MEMO_BYTES = 1 << 20
 _MEMOS = {kind: OrderedDict()
           for kind in ("tables", "mapping", "mu", "domain")}
@@ -161,12 +160,10 @@ def _domain(l_min, l_max):
     return domain, (domain.l1, domain.l2, domain.l3)
 
 
-def _input(kind, key, build, keep):
-    """``build(*key)``'s value.  With ``keep`` it comes from the memo
-    ``kind``: on a miss it is built by the public constructors and kept,
-    its arrays made read-only, unless they exceed ``_MEMO_BYTES``."""
-    if not keep:
-        return build(*key)[0]
+def _input(kind, key, build):
+    """``build(*key)``'s value from the memo ``kind``: on a miss it is
+    built by the public constructors and kept, its arrays made read-only,
+    unless they exceed ``_MEMO_BYTES``."""
     memo = _MEMOS[kind]
     value = memo.pop(key, None)
     if value is None:
@@ -176,19 +173,19 @@ def _input(kind, key, build, keep):
         for a in arrays:
             a.flags.writeable = False
     memo[key] = value
-    if len(memo) > _RULE_CACHE:
+    if len(memo) > _MEMO_ENTRIES:
         memo.popitem(last=False)
     return value
 
 
-def _problem(config: RunConfig, keep: bool = False):
-    """Tables, mapping and grid for a configuration, kept in the memos if
-    ``keep``; a mapping file is read on every call."""
+def _problem(config: RunConfig):
+    """Tables, mapping and grid for a configuration, from the memos; a
+    mapping file is read on every call."""
     grid, tables = _input("tables", (config.p_max, config.l_min,
                                      config.l_max, config.r_samples),
-                          _grid_and_tables, keep)
+                          _grid_and_tables)
     if config.mapping == "default":
-        mapping = _input("mapping", (config.p_max,), _default_mapping, keep)
+        mapping = _input("mapping", (config.p_max,), _default_mapping)
     else:
         mapping = load_mode_mapping(config.mapping)
         if mapping.p_max > config.p_max:
@@ -198,13 +195,13 @@ def _problem(config: RunConfig, keep: bool = False):
     return tables, mapping, grid
 
 
-def _mu_quadrature(config: RunConfig, keep: bool = False):
-    """The separable engine's mu rule and its Legendre table, kept in the
-    memos if ``keep``.  An over-budget P table is refused first, before
-    the O(n^2) rule is built."""
+def _mu_quadrature(config: RunConfig):
+    """The separable engine's mu rule and its Legendre table, from the
+    memos.  An over-budget P table is refused first, before the O(n^2)
+    rule is built."""
     n_mu = config.resolved_mu_points()
     _check_ptable_budget(config.p_max, config.r_samples, n_mu)
-    return _input("mu", (n_mu, config.l_max), _mu_tables, keep)
+    return _input("mu", (n_mu, config.l_max), _mu_tables)
 
 
 # ----------------------------------------------------------------------
@@ -384,19 +381,17 @@ def run_gamma(config: RunConfig) -> GammaMatrix:
     """Compute the matrix with the configured engine.
 
     A configuration's grid and tables, default mapping, mu rule with its
-    Legendre table and triple domain are built once per process and
-    reused, read-only, by later calls with the same values.
+    Legendre table and triple domain come from the memos.
     """
     config.validate()
-    tables, mapping, grid = _problem(config, keep=True)
+    tables, mapping, grid = _problem(config)
     if config.mode == "gamma2d":
-        rule, legendre = _mu_quadrature(config, keep=True)
+        rule, legendre = _mu_quadrature(config)
         return gamma2d_matrix(tables, mapping, grid, rule, legendre,
                               integrator=config.integrator,
                               workers=config.workers)
     if config.mode == "gamma3d":
-        domain = _input("domain", (config.l_min, config.l_max), _domain,
-                        keep=True)
+        domain = _input("domain", (config.l_min, config.l_max), _domain)
         return gamma3d_matrix(tables, mapping, grid,
                               h2_mode=config.h2_mode,
                               integrator=config.integrator,
@@ -415,6 +410,7 @@ def run_crosscheck(config: RunConfig) -> ComparisonReport:
     config.validate()
     tables, mapping, grid = _problem(config)
     rule, legendre = _mu_quadrature(config)
+    domain = _input("domain", (config.l_min, config.l_max), _domain)
 
     t0 = time.perf_counter()
     g2 = gamma2d_matrix(tables, mapping, grid, rule, legendre,
@@ -423,13 +419,14 @@ def run_crosscheck(config: RunConfig) -> ComparisonReport:
     t1 = time.perf_counter()
     g3 = gamma3d_matrix(tables, mapping, grid, h2_mode="exact",
                         integrator=config.integrator,
-                        block=config.block, workers=config.workers)
+                        block=config.block, workers=config.workers,
+                        domain=domain)
     t2 = time.perf_counter()
     g3_gosper = gamma3d_matrix(tables, mapping, grid, h2_mode="gosper",
                                integrator=config.integrator,
-                               block=config.block, workers=config.workers)
+                               block=config.block, workers=config.workers,
+                               domain=domain)
 
-    domain = enumerate_domain(config.l_min, config.l_max)
     exact = h2_exact(domain.l1, domain.l2, domain.l3)
     gosper = h2_gosper(domain.l1, domain.l2, domain.l3)
     h2_err = float(np.max(np.abs(gosper / exact - 1.0))) if domain.count \
@@ -456,6 +453,7 @@ def run_convergence_study(config: RunConfig,
     time of its point count's shared sweep, set-up included.
     """
     config.validate()
+    domain = _input("domain", (config.l_min, config.l_max), _domain)
     sweeps = {}
     for n_r in dict.fromkeys((GOLD_R, *ladder)):
         t0 = time.perf_counter()
@@ -463,7 +461,7 @@ def run_convergence_study(config: RunConfig,
         matrices = gamma3d_matrices(
             tables, mapping, grid, h2_mode=config.h2_mode,
             integrators=INTEGRATOR_NAMES, block=config.block,
-            workers=config.workers)
+            workers=config.workers, domain=domain)
         sweeps[n_r] = (dict(zip(INTEGRATOR_NAMES, matrices)),
                        time.perf_counter() - t0)
     gold = sweeps[GOLD_R][0]["spline"]

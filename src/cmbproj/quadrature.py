@@ -5,10 +5,8 @@ recurrence that also fills the Legendre tables, starting from the
 Chebyshev-angle asymptotic guesses; this gives node accuracy at the
 couple-of-ulp level, which the separable projection path needs (its mu
 integral reconstructs a step function and is extremely sensitive to
-quadrature error).  A rule depends only on its size n, so each n is
-computed once per process (the ``_RULE_CACHE`` most recently used sizes
-are kept) and every caller shares that one rule; its arrays are
-read-only.
+quadrature error).  A rule is computed afresh on every call and its
+arrays are read-only; ``harness`` keeps the rules a run reuses.
 
 Radial integrals over the nonuniform grid come in three flavours:
 trapezium, Hermite-cubic (trapezium plus a secant-slope correction term)
@@ -26,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +39,6 @@ __all__ = [
 ]
 
 _NEWTON_CAP = 100
-_RULE_CACHE = 64     # distinct Gauss-Legendre sizes kept per process
 
 
 @dataclass(frozen=True)
@@ -68,20 +64,13 @@ def gauss_legendre(n: int) -> QuadratureRule:
     """n-node Gauss-Legendre rule on [-1, 1].
 
     Nodes are the roots of P_n, converged by Newton iteration; weights are
-    w = 2 / ((1 - x^2) P_n'(x)^2).  Each n is computed once per process
-    and every later call returns the same rule, whose arrays are
-    read-only.  Raises ValueError for n < 1, and RuntimeError if any node
-    fails to converge within the iteration cap (must not happen for
-    n <= 16384).
+    w = 2 / ((1 - x^2) P_n'(x)^2).  The rule is computed on every call,
+    and its arrays are read-only.  Raises ValueError for n < 1, and
+    RuntimeError if any node fails to converge within the iteration cap
+    (must not happen for n <= 16384).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _gauss_legendre(n)
-
-
-@lru_cache(maxsize=_RULE_CACHE)
-def _gauss_legendre(n: int) -> QuadratureRule:
-    """The n-node rule, n >= 1, computed once per n."""
     if n == 1:
         return QuadratureRule(np.zeros(1), np.full(1, 2.0))
     b = np.arange(n, dtype=np.float64)

@@ -64,6 +64,17 @@ class RecordingContext:
         return pool
 
 
+class NoPool:
+    """Stand-in for an engine's ``get_context`` whose ``Pool`` raises, so
+    a run that would fork a worker fails."""
+
+    def __call__(self, method):
+        return self
+
+    def Pool(self, *args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+
 @pytest.fixture(scope="session")
 def desk():
     """Small instance used by most engine tests."""

@@ -7,7 +7,7 @@ import pytest
 import cmbproj as cp
 from cmbproj.engine2d import (_l_weight, _pair_groups, _permanent3, _sweep,
                               default_mu_points)
-from conftest import Problem, RecordingContext
+from conftest import NoPool, Problem, RecordingContext
 
 
 def relative_gap(a, b):
@@ -192,6 +192,19 @@ class TestRowSweep:
                                   desk.rule, desk.legendre, workers=w)
                 for w in (1, 3)]
         assert np.array_equal(runs[0].values, runs[1].values)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_no_worker_for_an_empty_chunk(self, monkeypatch, workers):
+        # p_max 1 has one (i, j) group, so one chunk holds all the work
+        import cmbproj.engine2d as e2
+        pr = Problem(l_min=2, l_max=16, p_max=1, n_r=30)
+        single = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
+                                   pr.legendre, workers=1)
+        monkeypatch.setattr(e2, "get_context", NoPool())
+        multi = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
+                                  pr.legendre, workers=workers)
+        assert np.array_equal(single.values, multi.values)
+        assert multi.meta["workers"] == workers
 
     def test_sweep_memory_independent_of_radial_size(self):
         peaks = []

@@ -7,7 +7,7 @@ import pytest
 
 import cmbproj as cp
 from cmbproj.basis import _PERMS3
-from conftest import Problem, RecordingContext, h2_oracle
+from conftest import NoPool, Problem, RecordingContext, h2_oracle
 
 
 def relative_gap(a, b):
@@ -352,6 +352,34 @@ class TestPoolJobs:
         assert jobs == (ranges if workers > 1 else [])
         assert all(len(pickle.dumps(job)) < 1024 for job in jobs)
         assert np.array_equal(g.values, expected[0])
+
+
+class TestEmptyChunks:
+    """No worker is forked for a chunk without triples."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_one_block_runs_in_process(self, monkeypatch, workers):
+        # l_max 8 has 39 triples: one block of 64
+        import cmbproj.engine3d as e3
+        pr = Problem(l_min=2, l_max=8, p_max=2, n_r=30)
+        single = cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid, "exact",
+                                   workers=1)
+        monkeypatch.setattr(e3, "get_context", NoPool())
+        multi = cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid, "exact",
+                                  workers=workers)
+        assert np.array_equal(single.values, multi.values)
+        assert multi.meta["workers"] == workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_domain_gives_zero_matrix(self, monkeypatch, workers):
+        import cmbproj.engine3d as e3
+        pr = Problem(l_min=3, l_max=3, p_max=2, n_r=30)
+        assert cp.enumerate_domain(3, 3).count == 0
+        monkeypatch.setattr(e3, "get_context", NoPool())
+        g = cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid,
+                              workers=workers)
+        assert np.array_equal(g.values, np.zeros((4, 4)))
+        assert g.meta["workers"] == workers
 
 
 class TestBlockBudget:

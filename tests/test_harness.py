@@ -3,6 +3,7 @@ import os
 import stat
 import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -515,7 +516,7 @@ class TestInputMemo:
 
     def test_entry_count_bounded(self, empty_memos):
         import cmbproj.harness as harness
-        bound = harness._RULE_CACHE
+        bound = harness._MEMO_ENTRIES
         radii = range(12, 12 + bound + 5)
         for n_r in radii:
             cp.run_gamma(cp.RunConfig(mode="gamma3d", l_min=2, l_max=4,
@@ -540,12 +541,51 @@ class TestInputMemo:
         assert not empty_memos["tables"]
         assert len(empty_memos["mu"]) == 1
 
-    def test_crosscheck_and_study_leave_memos_empty(self, empty_memos):
-        cp.run_crosscheck(cp.RunConfig(mode="crosscheck", **self.CFG))
-        cp.run_convergence_study(
-            cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2),
-            ladder=(30,))
-        assert not any(empty_memos.values())
+    def test_crosscheck_and_study_read_the_memos(self, empty_memos,
+                                                 monkeypatch):
+        import cmbproj.engine3d as e3
+        import cmbproj.harness as harness
+        check = cp.RunConfig(mode="crosscheck", **self.CFG)
+        study = cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2)
+        # the figures from inputs built by the public constructors
+        g2 = self._fresh(replace(check, mode="gamma2d"))
+        g3, g3_gosper = (self._fresh(replace(check, mode="gamma3d",
+                                             h2_mode=h2_mode))
+                         for h2_mode in ("exact", "gosper"))
+        domain = cp.enumerate_domain(2, 12)
+        ratio = cp.h2_gosper(domain.l1, domain.l2, domain.l3) \
+            / cp.h2_exact(domain.l1, domain.l2, domain.l3)
+        sweeps = {}
+        for n_r in (harness.GOLD_R, 30):
+            grid = cp.default_radial_grid(n_r)
+            sweeps[n_r] = cp.gamma3d_matrices(
+                cp.synthesize_basis(2, 2, 8, grid), cp.default_mode_mapping(2),
+                grid, h2_mode=study.h2_mode)
+        gold = sweeps[harness.GOLD_R][2]
+
+        calls = []
+        def counted(l_min, l_max):
+            calls.append((l_min, l_max))
+            return cp.enumerate_domain(l_min, l_max)
+        monkeypatch.setattr(harness, "enumerate_domain", counted)
+        monkeypatch.setattr(e3, "enumerate_domain", counted)
+        report = cp.run_crosscheck(check)
+        rows = cp.run_convergence_study(study, ladder=(30,))
+        assert calls == [(2, 12), (2, 8)]
+        assert all(empty_memos.values())
+        assert list(empty_memos["domain"]) == calls
+        assert list(empty_memos["tables"]) == [
+            (3, 2, 12, 30), (2, 2, 8, harness.GOLD_R), (2, 2, 8, 30)]
+
+        assert report.rmse_percent == cp.rmse_percent(g2, g3)
+        assert report.max_rel_dev == cp.max_rel_deviation(g2, g3)
+        assert report.gosper_max_rel_dev == cp.max_rel_deviation(g3_gosper,
+                                                                 g3)
+        assert report.gosper_h2_error_bound == float(
+            np.max(np.abs(ratio - 1.0)))
+        assert [(row["integrator"], row["rmse_percent"]) for row in rows] \
+            == [(name, cp.rmse_percent(g, gold))
+                for name, g in zip(("trap", "hermite", "spline"), sweeps[30])]
 
 
 class TestConfigFile:
@@ -714,6 +754,7 @@ class TestCli:
 
     def test_missing_config_file_exit_4(self, capsys):
         assert cli_main(["--config", "/nonexistent/run.cfg"]) == 4
+        assert "i/o error" in capsys.readouterr().err
 
     def test_numeric_error_exit_3(self, capsys, monkeypatch):
         import cmbproj.harness as harness

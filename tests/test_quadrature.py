@@ -62,9 +62,6 @@ class TestGaussLegendre:
             with pytest.raises(ValueError):
                 cp.gauss_legendre(0)
 
-    def test_one_rule_per_n(self):
-        assert cp.gauss_legendre(33) is cp.gauss_legendre(33)
-
     @pytest.mark.parametrize("n", [1, 7])
     def test_arrays_read_only(self, n):
         rule = cp.gauss_legendre(n)
@@ -79,14 +76,6 @@ class TestGaussLegendre:
         nodes[0] = 0.0
         assert rule.nodes.tolist() == [-0.5, 0.5]
         assert not rule.weights.flags.writeable
-
-    def test_cache_bounded(self):
-        from cmbproj.quadrature import _RULE_CACHE, _gauss_legendre
-        for n in range(2, 2 * _RULE_CACHE + 3):
-            cp.gauss_legendre(n)
-        info = _gauss_legendre.cache_info()
-        assert info.maxsize == _RULE_CACHE
-        assert info.currsize == _RULE_CACHE
 
 
 class TestLegendreTable:
