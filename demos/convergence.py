@@ -9,8 +9,7 @@ import cmbproj as cp
 
 
 def main():
-    cfg = cp.RunConfig(mode="convergence", l_min=2, l_max=16, p_max=3,
-                       mu_points=27)
+    cfg = cp.RunConfig(mode="convergence", l_min=2, l_max=16, p_max=3)
     print("convergence study (RMSE% vs dense-spline gold):")
     rows = cp.run_convergence_study(cfg, ladder=(54, 108, 216))
     print(f"{'integrator':>10} {'R':>6} {'rmse%':>12} {'seconds':>9}")

@@ -36,7 +36,7 @@ __all__ = [
 R_PEAK = 14000.0
 R_SIGMA = 150.0
 W_FLOOR = 0.05
-R_MAX_DEFAULT = 16000.0
+R_MAX = 16000.0
 
 
 class MappingFormatError(ValueError):
@@ -78,15 +78,6 @@ class ModeMapping:
         i, j, k = self.entries[n]
         return int(i), int(j), int(k)
 
-    def index_of(self, triple) -> int:
-        i, j, k = triple
-        hit = np.flatnonzero((self.entries[:, 0] == i)
-                             & (self.entries[:, 1] == j)
-                             & (self.entries[:, 2] == k))
-        if len(hit) == 0:
-            raise KeyError(f"triple {triple!r} not in mapping")
-        return int(hit[0])
-
     def fingerprint(self) -> str:
         return _sha256(np.int64(self.p_max).tobytes(), self.entries.tobytes())
 
@@ -126,18 +117,18 @@ def save_mode_mapping(mapping: ModeMapping, path) -> None:
             f.write(f"{n} {i} {j} {k}\n")
 
 
-def load_mode_mapping(source) -> ModeMapping:
-    """Parse a ``modalmap v1`` file (path or open text file).
+def load_mode_mapping(path) -> ModeMapping:
+    """Parse the ``modalmap v1`` file at ``path``.
 
-    Raises MappingFormatError naming the offending line for malformed
-    records, duplicate or unordered triples, out-of-range indices and
-    non-ascending mode numbers, and for a file with no entries.
+    Raises MappingFormatError for text that is not UTF-8, for a file with
+    no entries, and, naming the line, for malformed records, duplicate or
+    unordered triples, out-of-range indices and non-ascending mode numbers.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as f:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MappingFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise MappingFormatError("empty mapping file")
     header = lines[0].split()
@@ -189,7 +180,6 @@ class RadialGrid:
     """Strictly increasing radial samples with three resolution zones."""
 
     r: np.ndarray
-    zone_bounds: tuple[float, float]   # (inner|peak, peak|outer) boundaries
 
     def __post_init__(self):
         r = np.asarray(self.r, dtype=np.float64)
@@ -204,24 +194,21 @@ class RadialGrid:
         return _sha256(self.r.tobytes())
 
 
-def default_radial_grid(n_total: int = 216,
-                        r_max: float = R_MAX_DEFAULT) -> RadialGrid:
+def default_radial_grid(n_total: int = 216) -> RadialGrid:
     """Three-zone radial grid: 25% of the points before the peak window
-    [r* - 5 sigma, r* + 5 sigma], 50% inside it, 25% after, uniform within
-    each zone.  First sample is 0, last is r_max."""
+    [R_PEAK - 5 R_SIGMA, R_PEAK + 5 R_SIGMA], 50% inside it, 25% after,
+    uniform within each zone.  First sample is 0, last is R_MAX."""
     if n_total < 12:
         raise ValueError("n_total must be >= 12")
     lo = R_PEAK - 5 * R_SIGMA
     hi = R_PEAK + 5 * R_SIGMA
-    if not 0 < lo < hi < r_max:
-        raise ValueError("peak window must lie inside (0, r_max)")
     n1 = round(n_total / 4)
     n3 = round(n_total / 4)
     n2 = n_total - n1 - n3
     zone1 = lo * np.arange(n1) / n1                      # [0, lo)
     zone2 = np.linspace(lo, hi, n2)                      # [lo, hi]
-    zone3 = hi + (r_max - hi) * np.arange(1, n3 + 1) / n3  # (hi, r_max]
-    return RadialGrid(np.concatenate([zone1, zone2, zone3]), (lo, hi))
+    zone3 = hi + (R_MAX - hi) * np.arange(1, n3 + 1) / n3  # (hi, R_MAX]
+    return RadialGrid(np.concatenate([zone1, zone2, zone3]))
 
 
 def radial_peak_weight(r) -> np.ndarray:

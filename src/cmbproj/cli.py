@@ -41,7 +41,6 @@ _KEYS = {
     "r-samples": _Key("r_samples", int),
     "integrator": _Key("integrator", choices=INTEGRATOR_NAMES),
     "h2": _Key("h2_mode", choices=H2_MODES),
-    "mu-points": _Key("mu_points", int),
     "block": _Key("block", int),
     "workers": _Key("workers", int),
     "out": _Key("out"),
@@ -51,22 +50,26 @@ _KEYS = {
 
 def _parse_config_file(path) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.split("#", 1)[0].strip()
-            if not s:
-                continue
-            if "=" not in s:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = s.partition("=")
-            key = key.strip()
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _KEYS[key].type(raw.strip())
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad value for {key!r}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        s = line.split("#", 1)[0].strip()
+        if not s:
+            continue
+        if "=" not in s:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = s.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _KEYS[key].type(raw.strip())
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: bad value for {key!r}") from exc
     return values
 
 

@@ -22,7 +22,8 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .basis import BasisTables, ModeMapping, RadialGrid, _permutation_counts
+from .basis import (_PERMS3, BasisTables, ModeMapping, RadialGrid,
+                    _permutation_counts)
 from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
 from .quadrature import QuadratureRule, integration_weights
 from .scheduler import chunk_inputs, make_weighted_plan, run_chunks
@@ -55,14 +56,17 @@ def _l_weight(tables: BasisTables) -> np.ndarray:
     return (2.0 * ells + 1.0) / (tables.v * np.sqrt(tables.C))
 
 
-def _check_ptable_budget(p: int, n_radial: int, n_mu: int) -> None:
-    """Refuse a [p, p, R, n_mu] P table larger than ``MEMORY_BUDGET``; its
-    size is known before the tables or the mu rule are built."""
-    need = p * p * n_radial * n_mu * 8
+def _check_ptable_budget(tables: BasisTables, n_mu: int) -> int:
+    """Bytes of the P table [p, p, R, n_mu], ``build_ptable``'s ``left``
+    [p, p, R, L] and the Legendre table [l_max+1, n_mu] for ``tables``,
+    known before the mu rule is built; over ``MEMORY_BUDGET`` is refused."""
+    p, n_r, n_l = tables.q_tilde.shape
+    need = 8 * (p * p * n_r * (n_mu + n_l) + (tables.l_max + 1) * n_mu)
     if need > MEMORY_BUDGET:
         raise MemoryError(
-            f"P table needs {need} bytes but the budget allows "
-            f"{MEMORY_BUDGET}")
+            f"P table, its build and the Legendre table need {need} bytes "
+            f"but the budget allows {MEMORY_BUDGET}")
+    return need
 
 
 def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
@@ -73,14 +77,14 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
 
     The multipole sum is one GEMM, (p^2 R x L) @ (L x n_mu), so the table
     is deterministic for a given BLAS.  Construction is refused when the
-    table would exceed ``MEMORY_BUDGET``, and a mu rule with fewer than
-    ``min_mu_points(l_max)`` nodes is rejected: it does not integrate the
-    mu product exactly.
+    arrays ``_check_ptable_budget`` counts would exceed ``MEMORY_BUDGET``,
+    and a mu rule with fewer than ``min_mu_points(l_max)`` nodes is
+    rejected: it does not integrate the mu product exactly.
     """
     p = tables.p_max
     n_r = tables.n_radial
     n_mu = rule.n
-    _check_ptable_budget(p, n_r, n_mu)
+    _check_ptable_budget(tables, n_mu)
     if n_mu < min_mu_points(tables.l_max):
         raise ValueError(
             f"mu rule has {n_mu} nodes but l_max={tables.l_max} needs "
@@ -96,14 +100,10 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
 
 
 def _permanent3(m):
-    """Permanent of a 3x3 block m[a][b][...], the six-product sum of the
-    original inner loop; vectorised over trailing axes."""
-    return (m[0][0] * m[1][1] * m[2][2]
-            + m[0][0] * m[1][2] * m[2][1]
-            + m[0][1] * m[1][0] * m[2][2]
-            + m[0][1] * m[1][2] * m[2][0]
-            + m[0][2] * m[1][0] * m[2][1]
-            + m[0][2] * m[1][1] * m[2][0])
+    """Permanent of a 3x3 block m[a][b][...], the sum over the six
+    orderings ``_PERMS3`` of the original inner loop; vectorised over
+    trailing axes."""
+    return sum(m[0][a] * m[1][b] * m[2][c] for a, b, c in _PERMS3)
 
 
 def gamma2d_entry_naive(n: int, n_prime: int, tables: BasisTables,

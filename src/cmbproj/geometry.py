@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gamma import MEMORY_BUDGET
+
 __all__ = [
     "H2_MODES",
     "theta_indicator",
@@ -139,6 +141,26 @@ def geometric_prefactor(l1, l2, l3, C, v, l_min=0, h2_mode="gosper"):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _triple_count(l_min: int, l_max: int) -> int:
+    """The domain's triple count in O(L) memory.  Per l1, each of the
+    l2 <= l_max - l1 has l1//2 + 1 values of l3.  The M + 1 other l2,
+    M = min(l_max - l1, l1 - 1), are cut at l_max and have floor((M+1)^2/4)
+    values of l3 in all for odd l1, and floor(M^2/4) + M + 1 for even l1."""
+    l1 = np.arange(l_min, l_max + 1, dtype=np.int64)
+    uncut = np.maximum(l_max - 2 * l1 + 1, 0) * (l1 // 2 + 1)
+    m = np.minimum(l_max - l1, l1 - 1)
+    cut = np.where(l1 % 2, (m + 1) ** 2 // 4, m * m // 4 + m + 1)
+    return int(np.sum(uncut + cut))
+
+
+def _enumeration_bytes(l_min: int, l_max: int) -> int:
+    """A bound on the enumeration's peak bytes: six int64 arrays of one
+    entry per triple (48 bytes), eight of one entry per (l1, l2) pair and
+    ``np.triu_indices``'s two L x L bool masks (under 34 L (L+1) bytes)."""
+    n_l = l_max - l_min + 1
+    return 48 * _triple_count(l_min, l_max) + 34 * n_l * (n_l + 1)
+
+
 class TriangularDomain:
     """Flattened enumeration of all ordered valid triples in [l_min, l_max].
 
@@ -146,12 +168,17 @@ class TriangularDomain:
     and l1+l2+l3 is even.  The order is lexicographic in (l1, l2, l3) and
     defines a bijection between [0, count) and the triples.  The int64
     arrays l1, l2, l3 are built by a fixed number of numpy calls, whatever
-    the number of (l1, l2) pairs.
+    the number of (l1, l2) pairs, unless their peak would exceed
+    ``MEMORY_BUDGET``: that raises MemoryError before they are allocated.
     """
 
     def __init__(self, l_min: int, l_max: int):
         if not 2 <= l_min <= l_max:
             raise ValueError("require 2 <= l_min <= l_max")
+        need = _enumeration_bytes(l_min, l_max)
+        if need > MEMORY_BUDGET:
+            raise MemoryError(f"triple domain needs {need} bytes but the "
+                              f"budget allows {MEMORY_BUDGET}")
         self.l_min = l_min
         self.l_max = l_max
         # every (l1, l2) pair with l1 <= l2, in lexicographic order

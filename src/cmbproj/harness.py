@@ -26,8 +26,7 @@ import numpy as np
 
 from .basis import (default_mode_mapping, default_radial_grid,
                     load_mode_mapping, synthesize_basis)
-from .engine2d import (_check_ptable_budget, default_mu_points,
-                       gamma2d_matrix, min_mu_points)
+from .engine2d import _check_ptable_budget, default_mu_points, gamma2d_matrix
 from .engine3d import DEFAULT_BLOCK, gamma3d_matrices, gamma3d_matrix
 from .gamma import GammaMatrix
 from .geometry import H2_MODES, enumerate_domain, h2_exact, h2_gosper
@@ -74,7 +73,6 @@ class RunConfig:
     r_samples: int = 216
     integrator: str = "trap"
     h2_mode: str = "gosper"
-    mu_points: int | None = None    # None -> exactness rule for l_max
     block: int = DEFAULT_BLOCK
     workers: int = 1
     out: str | None = None
@@ -99,12 +97,6 @@ class RunConfig:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.h2_mode not in H2_MODES:
             raise ConfigError(f"unknown h2 mode {self.h2_mode!r}")
-        if self.mu_points is not None \
-                and self.mu_points < min_mu_points(self.l_max):
-            raise ConfigError(
-                f"mu-points must be >= {min_mu_points(self.l_max)} for "
-                f"lmax={self.l_max}: fewer Gauss-Legendre nodes do not "
-                f"integrate the mu product exactly")
         if self.block < 1:
             raise ConfigError("block must be >= 1")
         if self.workers < 1:
@@ -118,14 +110,12 @@ class RunConfig:
         return self
 
     def resolved_mu_points(self) -> int:
-        return self.mu_points if self.mu_points is not None \
-            else default_mu_points(self.l_max)
+        """``default_mu_points(l_max)``, read by ``perfbench/workloads.py``."""
+        return default_mu_points(self.l_max)
 
     def header_lines(self) -> list[str]:
         """Fully resolved provenance header for every output."""
-        d = asdict(self)
-        d["mu_points"] = self.resolved_mu_points()
-        return [f"# {k}={d[k]}" for k in sorted(d)]
+        return [f"# {k}={v}" for k, v in sorted(asdict(self).items())]
 
 
 # every run mode keeps its inputs per process, keyed by the config values
@@ -195,13 +185,13 @@ def _problem(config: RunConfig):
     return tables, mapping, grid
 
 
-def _mu_quadrature(config: RunConfig):
-    """The separable engine's mu rule and its Legendre table, from the
-    memos.  An over-budget P table is refused first, before the O(n^2)
-    rule is built."""
-    n_mu = config.resolved_mu_points()
-    _check_ptable_budget(config.p_max, config.r_samples, n_mu)
-    return _input("mu", (n_mu, config.l_max), _mu_tables)
+def _mu_quadrature(tables):
+    """The separable engine's mu rule, ``default_mu_points(l_max)`` nodes,
+    and its Legendre table, from the memos.  A set-up over the memory
+    budget is refused first, before the O(n^2) rule is built."""
+    n_mu = default_mu_points(tables.l_max)
+    _check_ptable_budget(tables, n_mu)
+    return _input("mu", (n_mu, tables.l_max), _mu_tables)
 
 
 # ----------------------------------------------------------------------
@@ -386,7 +376,7 @@ def run_gamma(config: RunConfig) -> GammaMatrix:
     config.validate()
     tables, mapping, grid = _problem(config)
     if config.mode == "gamma2d":
-        rule, legendre = _mu_quadrature(config)
+        rule, legendre = _mu_quadrature(tables)
         return gamma2d_matrix(tables, mapping, grid, rule, legendre,
                               integrator=config.integrator,
                               workers=config.workers)
@@ -409,7 +399,7 @@ def run_crosscheck(config: RunConfig) -> ComparisonReport:
     """
     config.validate()
     tables, mapping, grid = _problem(config)
-    rule, legendre = _mu_quadrature(config)
+    rule, legendre = _mu_quadrature(tables)
     domain = _input("domain", (config.l_min, config.l_max), _domain)
 
     t0 = time.perf_counter()

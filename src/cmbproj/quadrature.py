@@ -64,15 +64,13 @@ def gauss_legendre(n: int) -> QuadratureRule:
     """n-node Gauss-Legendre rule on [-1, 1].
 
     Nodes are the roots of P_n, converged by Newton iteration; weights are
-    w = 2 / ((1 - x^2) P_n'(x)^2).  The rule is computed on every call,
-    and its arrays are read-only.  Raises ValueError for n < 1, and
-    RuntimeError if any node fails to converge within the iteration cap
-    (must not happen for n <= 16384).
+    w = 2 / ((1 - x^2) P_n'(x)^2), for every n >= 1 (n = 1 gives node 0,
+    weight 2).  The rule is computed on every call, and its arrays are
+    read-only.  Raises ValueError for n < 1, and RuntimeError if any node
+    fails to converge within the iteration cap (never for n <= 16384).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0))
     b = np.arange(n, dtype=np.float64)
     x = np.cos(np.pi * (4 * b + 3) / (4 * n + 2))
     for _ in range(_NEWTON_CAP):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import cmbproj as cp
-from cmbproj.basis import MappingFormatError, _sha256, radial_peak_weight
+from cmbproj.basis import (R_PEAK, R_SIGMA, MappingFormatError, _sha256,
+                           radial_peak_weight)
 
 
 class TestDefaultModeMapping:
@@ -27,9 +28,12 @@ class TestDefaultModeMapping:
         assert big.entries[:small.n_max].tolist() == small.entries.tolist()
 
     def test_bijectivity(self):
+        # n -> (i, j, k) hits every ordered triple below p_max exactly once
         m = cp.default_mode_mapping(5)
-        for n in range(m.n_max):
-            assert m.index_of(m.triple(n)) == n
+        triples = [m.triple(n) for n in range(m.n_max)]
+        assert sorted(triples) == [(i, j, k) for i in range(5)
+                                   for j in range(i, 5)
+                                   for k in range(j, 5)]
 
     def test_rejects_bad_pmax(self):
         with pytest.raises(ValueError):
@@ -90,9 +94,12 @@ class TestMappingFile:
 
 
 class TestRadialGrid:
+    # the peak window [R_PEAK - 5 R_SIGMA, R_PEAK + 5 R_SIGMA]
+    LO, HI = R_PEAK - 5 * R_SIGMA, R_PEAK + 5 * R_SIGMA
+
     def test_zone_counts_216(self):
         g = cp.default_radial_grid(216)
-        lo, hi = g.zone_bounds
+        lo, hi = self.LO, self.HI
         assert np.sum(g.r < lo) == 54
         assert np.sum((g.r >= lo) & (g.r <= hi)) == 108
         assert np.sum(g.r > hi) == 54
@@ -103,7 +110,7 @@ class TestRadialGrid:
 
     def test_middle_zone_finest(self):
         g = cp.default_radial_grid(216)
-        lo, hi = g.zone_bounds
+        lo, hi = self.LO, self.HI
         dr = np.diff(g.r)
         mid = (g.r[:-1] >= lo) & (g.r[1:] <= hi)
         outer = ~mid

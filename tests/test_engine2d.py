@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import cmbproj as cp
-from cmbproj.engine2d import (_l_weight, _pair_groups, _permanent3, _sweep,
-                              default_mu_points)
+from cmbproj.engine2d import (_check_ptable_budget, _l_weight, _pair_groups,
+                              _permanent3, _sweep, default_mu_points)
 from conftest import NoPool, Problem, RecordingContext
 
 
@@ -74,6 +74,24 @@ class TestPTable:
         monkeypatch.setattr(e2, "MEMORY_BUDGET", 1024)
         with pytest.raises(MemoryError, match="budget allows 1024"):
             cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
+
+    @pytest.mark.parametrize("p_max,l_max,n_r", [(3, 40, 216), (4, 80, 216),
+                                                 (6, 24, 108)])
+    def test_budget_counts_the_set_up_peak(self, p_max, l_max, n_r):
+        # the count holds the P table, the [p, p, R, L] product it is
+        # built from and the Legendre table; tracemalloc also sees numpy's
+        # iteration buffer (8192 elements) and the O(p L) weights
+        pr = Problem(2, l_max, p_max, n_r)
+        tracemalloc.start()
+        try:
+            table = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
+            peak = tracemalloc.get_traced_memory()[1] + pr.legendre.nbytes
+        finally:
+            tracemalloc.stop()
+        count = _check_ptable_budget(pr.tables, pr.rule.n)
+        assert peak <= count + (1 << 17)
+        # the table alone, all the count once held, is ~1.7x short
+        assert peak > 1.5 * table.nbytes
 
     def test_mu_rule_exactness_bound(self, desk):
         # l_max=16 needs ceil((3*16+1)/2) = 25 nodes; with fewer the matrix

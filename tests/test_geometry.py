@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import cmbproj as cp
+from cmbproj.gamma import MEMORY_BUDGET
+from cmbproj.geometry import _enumeration_bytes, _triple_count
 from conftest import h2_oracle, wigner3j_squared_exact
 
 
@@ -242,6 +245,35 @@ class TestEnumerateDomain:
         assert d.count == len(expected)
         got = list(zip(d.l1.tolist(), d.l2.tolist(), d.l3.tolist()))
         assert got == expected
+
+    def test_count_in_closed_form(self):
+        for l_max in range(2, 61):
+            for l_min in range(2, l_max + 1):
+                assert _triple_count(l_min, l_max) \
+                    == cp.enumerate_domain(l_min, l_max).count
+
+    @pytest.mark.parametrize("l_min", [2, 100])
+    def test_enumeration_peak_within_bound(self, l_min):
+        tracemalloc.start()
+        try:
+            cp.enumerate_domain(l_min, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _enumeration_bytes(l_min, 200)
+
+    def test_over_budget_refused_before_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the triple domain was enumerated")
+        monkeypatch.setattr(np, "triu_indices", refuse)
+        with pytest.raises(MemoryError, match="budget allows"):
+            cp.enumerate_domain(2, 2000)
+
+    def test_benchmark_sizes_never_refused(self):
+        # every workload stays at l_max <= 80; the widest l range is the
+        # largest domain
+        assert _enumeration_bytes(2, 80) < MEMORY_BUDGET // 1000
+        assert cp.enumerate_domain(2, 80).count == 23661
 
     def test_enumerated_triples_are_valid_and_ordered(self):
         d = cp.enumerate_domain(3, 40)

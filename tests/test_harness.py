@@ -11,6 +11,7 @@ import pytest
 import cmbproj as cp
 from cmbproj.cli import _KEYS, build_parser, config_from_args
 from cmbproj.cli import main as cli_main
+from cmbproj.engine2d import default_mu_points
 from cmbproj.gamma import GammaMatrix
 from cmbproj.harness import MODES, ConfigError, GammaFormatError
 from conftest import Problem
@@ -307,11 +308,9 @@ class TestRunConfig:
         {"r_samples": 5},
         {"integrator": "simpson"},
         {"h2_mode": "racah"},
-        {"mu_points": 0},
         {"block": 0},
         {"workers": 0},
         {"fmt": "json"},
-        {"l_max": 16, "mu_points": 24},
         {"l_min": 3, "l_max": 3},
         {"l_min": 41, "l_max": 41},
     ])
@@ -332,30 +331,39 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="workers must be <= 1"):
             cp.RunConfig(workers=2).validate()
 
-    def test_mu_points_exactness_bound(self, capsys):
-        # ceil((3*16+1)/2) = 25 nodes integrate the mu product exactly:
-        # 24 is refused (exit 2), 25 reproduces the direct exact engine
-        cfg = dict(l_min=2, l_max=16, p_max=2, r_samples=30)
-        assert cli_main(["--mode", "gamma2d", "--lmax", "16",
-                         "--mu-points", "24"]) == 2
-        assert "mu-points must be >= 25" in capsys.readouterr().err
-        g2 = cp.run_gamma(cp.RunConfig(mode="gamma2d", mu_points=25, **cfg))
-        g3 = cp.run_gamma(cp.RunConfig(mode="gamma3d", h2_mode="exact",
-                                       **cfg))
+    def test_mu_points_exactness_bound(self, tmp_path, capsys):
+        # the mu rule follows --lmax, so the node count is no setting; a
+        # library caller's ceil((3*16+1)/2) = 25-node rule, the exactness
+        # bound, reproduces the direct exact engine
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--mode", "gamma2d", "--lmax", "16",
+                      "--mu-points", "25"])
+        assert exc.value.code == 2
+        f = tmp_path / "run.cfg"
+        f.write_text("mu-points=25\n")
+        assert cli_main(["--mode", "gamma2d", "--config", str(f)]) == 2
+        assert "unknown key 'mu-points'" in capsys.readouterr().err
+        p = Problem(2, 16, 2, 30, n_mu=25)
+        g2 = cp.gamma2d_matrix(p.tables, p.mapping, p.grid, p.rule,
+                               p.legendre)
+        g3 = cp.gamma3d_matrix(p.tables, p.mapping, p.grid, h2_mode="exact")
         assert cp.max_rel_deviation(g2, g3) < 1e-9
 
     def test_mu_points_default_tracks_lmax(self):
-        assert cp.RunConfig(l_max=32).resolved_mu_points() == 51
-        assert cp.RunConfig(l_max=32, mu_points=40).resolved_mu_points() == 40
+        for l_max in (8, 16, 32):
+            g = cp.run_gamma(cp.RunConfig(mode="gamma2d", l_max=l_max,
+                                          p_max=2, r_samples=12))
+            assert g.meta["n_mu"] == default_mu_points(l_max)
 
     def test_header_lines_fully_resolved(self):
         lines = cp.RunConfig(l_max=16).header_lines()
-        assert "# mu_points=27" in lines
+        assert not any(line.startswith("# mu_points=") for line in lines)
+        assert "# l_max=16" in lines
         assert all(line.startswith("# ") for line in lines)
 
 
 class TestRunModes:
-    CFG = dict(l_min=2, l_max=12, p_max=3, r_samples=30, mu_points=21)
+    CFG = dict(l_min=2, l_max=12, p_max=3, r_samples=30)
 
     def test_run_gamma_both_engines_agree(self):
         g2 = cp.run_gamma(cp.RunConfig(mode="gamma2d", **self.CFG))
@@ -380,8 +388,7 @@ class TestRunModes:
         assert report.runtime_2d > 0 and report.runtime_3d > 0
 
     def test_convergence_rows(self):
-        cfg = cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2,
-                           mu_points=13)
+        cfg = cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2)
         rows = cp.run_convergence_study(cfg, ladder=(30, 60))
         assert len(rows) == 6  # 3 integrators x 2 grid sizes
         for r in rows:
@@ -403,8 +410,7 @@ class TestRunModes:
             return real(*args, **kwargs)
         monkeypatch.setattr(harness, "gamma3d_matrices", counting)
         monkeypatch.setattr(harness, "gamma3d_matrix", None)
-        cfg = cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2,
-                           mu_points=13)
+        cfg = cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2)
         rows = cp.run_convergence_study(cfg)
         # one three-integrator sweep per distinct R, gold's R first
         assert [n for n, _ in calls] == [1768, 54, 108, 216, 432, 864]
@@ -458,7 +464,7 @@ class TestInputMemo:
                                      config.l_max, grid)
         mapping = cp.default_mode_mapping(config.p_max)
         if config.mode == "gamma2d":
-            rule = cp.gauss_legendre(config.resolved_mu_points())
+            rule = cp.gauss_legendre(default_mu_points(config.l_max))
             return cp.gamma2d_matrix(tables, mapping, grid, rule,
                                      cp.legendre_table(config.l_max, rule),
                                      integrator=config.integrator)
@@ -592,8 +598,7 @@ class TestConfigFile:
     # one non-default, valid value per key of the flag/config-file table
     SAMPLES = {"mode": "gamma3d", "lmin": "3", "lmax": "10", "pmax": "2",
                "mapping": "map.txt", "r-samples": "30",
-               "integrator": "spline", "h2": "exact", "mu-points": "60",
-               "block": "8", "workers": "2", "out": "x.csv",
+               "integrator": "spline", "h2": "exact", "block": "8", "workers": "2", "out": "x.csv",
                "format": "bin"}
 
     @pytest.mark.parametrize("key", list(_KEYS))
@@ -648,7 +653,7 @@ class TestConfigFile:
 
 class TestCli:
     ARGS = ["--lmin", "2", "--lmax", "8", "--pmax", "2",
-            "--r-samples", "30", "--mu-points", "13"]
+            "--r-samples", "30"]
 
     def test_gamma2d_to_file(self, tmp_path, capsys):
         out = tmp_path / "gamma.csv"
@@ -771,11 +776,38 @@ class TestCli:
             raise AssertionError(f"a {n}-node mu rule was built")
         monkeypatch.setattr("cmbproj.harness.gauss_legendre", refuse)
         monkeypatch.setattr("cmbproj.quadrature.gauss_legendre", refuse)
-        # 4 * 4 * 1768 * 20000 * 8 bytes = 4.5 GB, past the 2 GiB budget
-        rc = cli_main(["--mode", mode, "--lmax", "32", "--pmax", "4",
-                       "--r-samples", "1768", "--mu-points", "20000"])
+        # the P table of the 30003-node rule is 1 * 1 * 12 * 30003 * 8
+        # bytes = 2.9 MB, within the 2 GiB budget; its Legendre table,
+        # 20001 * 30003 * 8 bytes = 4.8 GB, is not
+        rc = cli_main(["--mode", mode, "--lmax", "20000", "--pmax", "1",
+                       "--r-samples", "12"])
         assert rc == 3
-        assert "P table needs 4526080000 bytes" in capsys.readouterr().err
+        need = 8 * (12 * (30003 + 19999) + 20001 * 30003)
+        assert f"need {need} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["gamma3d", "convergence"])
+    def test_domain_budget_before_enumeration(self, mode, capsys,
+                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the triple domain was enumerated")
+        monkeypatch.setattr(np, "triu_indices", refuse)
+        # 334,831,501 triples: their l1, l2 and l3 alone take 8.0 GB
+        rc = cli_main(["--mode", mode, "--lmax", "2000", "--pmax", "1",
+                       "--r-samples", "12"])
+        assert rc == 3
+        assert "triple domain needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,content", [
+        ("--config", b"lmax=8\n# r\xe9sum\xff\n"),
+        ("--mapping", b"modalmap v1 p_max=2 n_max=1\n0 0 0 \xff\n")])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, flag, content):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        rc = cli_main(["--mode", "gamma2d", *self.ARGS, flag, str(bad)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and f"{bad}: not UTF-8" in err
+        assert "Traceback" not in err
 
     def test_console_script_installed(self):
         import shutil

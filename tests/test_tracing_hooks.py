@@ -1,7 +1,7 @@
 """The names perfbench/tracing.py patches, the spans perfbench/run.py
-reads and the calls perfbench/workloads.py makes exist in cmbproj, so a
-rename or a removed keyword fails here instead of breaking a benchmark
-run or turning a per-layer metric to 0."""
+reads and the calls perfbench/workloads.py and the demos make exist in
+cmbproj, so a rename or a removed keyword fails here instead of breaking
+a benchmark or demo run or turning a per-layer metric to 0."""
 
 import ast
 import importlib
@@ -19,6 +19,7 @@ PERFBENCH = Path(__file__).parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 RUN = PERFBENCH / "run.py"
+DEMOS = sorted((PERFBENCH.parent / "demos").glob("*.py"))
 
 
 def _constant(name, path=TRACING):
@@ -71,14 +72,16 @@ def test_engine_imports_get_context(layer):
 
 
 def _cp_calls():
-    """name -> call nodes of every ``cp.<name>(...)`` in workloads.py."""
+    """name -> call nodes of every ``cp.<name>(...)`` in workloads.py and
+    the demo scripts."""
     calls = {}
-    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "cp"):
-            calls.setdefault(node.func.attr, []).append(node)
+    for path in (WORKLOADS, *DEMOS):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "cp"):
+                calls.setdefault(node.func.attr, []).append(node)
     return calls
 
 
