@@ -17,6 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .gamma import MEMORY_BUDGET
 from .quadrature import _legendre_rows
 
 __all__ = [
@@ -265,6 +266,20 @@ class BasisTables:
                        np.int64([self.l_min, self.l_max]))
 
 
+def _check_table_budget(p_max: int, l_min: int, l_max: int,
+                        n_r: int) -> int:
+    """A bound on the peak bytes of an n_r-point radial grid, the basis
+    tables on it and their integration weights, sized with tracemalloc:
+    q_tilde and its finiteness mask take 9 bytes per entry, and the grid
+    and the spline weights' work arrays 136 bytes per radial point.  Over
+    ``MEMORY_BUDGET`` is refused."""
+    need = 9 * p_max * n_r * (l_max - l_min + 1) + 136 * n_r
+    if need > MEMORY_BUDGET:
+        raise MemoryError(f"basis tables need {need} bytes but the budget "
+                          f"allows {MEMORY_BUDGET}")
+    return need
+
+
 def synthesize_basis(p_max: int, l_min: int, l_max: int,
                      grid: RadialGrid) -> BasisTables:
     """Deterministic synthetic basis tables.
@@ -272,10 +287,13 @@ def synthesize_basis(p_max: int, l_min: int, l_max: int,
     q_i is the shifted Legendre polynomial of degree i on the l range,
     C_l = 1/(l(l+1)), v_l = (2l+1)^(1/6), and q_tilde_i(r, l) =
     q_i(l) * w(r) with w peaked at the last-scattering radius plus a flat
-    floor.  Bit-reproducible for fixed parameters.
+    floor.  Bit-reproducible for fixed parameters.  Tables whose peak
+    (``_check_table_budget``) would exceed ``MEMORY_BUDGET`` raise
+    MemoryError before they are allocated.
     """
     if p_max < 1 or not 2 <= l_min <= l_max:
         raise ValueError("require p_max >= 1 and 2 <= l_min <= l_max")
+    _check_table_budget(p_max, l_min, l_max, len(grid))
     ells = np.arange(l_min, l_max + 1, dtype=np.float64)
     span = max(l_max - l_min, 1)
     q = _legendre_rows(p_max, 2.0 * (ells - l_min) / span - 1.0)

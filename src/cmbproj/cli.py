@@ -8,6 +8,7 @@ optional key=value config file.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from typing import NamedTuple
 
@@ -22,6 +23,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
+
+# glibc's mallopt parameters and the values the command line sets for its
+# own process.  The engines allocate and free each radial slab's
+# temporaries (a few MB) in turn; at glibc's defaults these are mapped
+# and unmapped, or trimmed from the heap top, and each slab faults its
+# pages in afresh.  Temporaries of up to 32 MiB come from the heap, and up
+# to 64 MiB of freed heap stays mapped, so each slab reuses the last
+# slab's pages; larger arrays, such as a big P table, are still mapped and
+# returned.  Both are set: on a ladder run (--mode convergence --lmax 16
+# --pmax 3, 2 vCPUs) either alone was slower than glibc's defaults
+# (0.60 s trim, 0.45 s mmap, 0.39 s default), and both together took
+# 0.29 s.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
 
 
 class _Key(NamedTuple):
@@ -97,7 +114,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return config.validate()
 
 
+def _set_allocator_policy() -> None:
+    """Set the mmap and trim thresholds above, where the C library is
+    glibc; elsewhere do nothing.  Library callers keep their defaults."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _set_allocator_policy()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .basis import (default_mode_mapping, default_radial_grid,
-                    load_mode_mapping, synthesize_basis)
+from .basis import (_check_table_budget, default_mode_mapping,
+                    default_radial_grid, load_mode_mapping, synthesize_basis)
 from .engine2d import _check_ptable_budget, default_mu_points, gamma2d_matrix
 from .engine3d import DEFAULT_BLOCK, gamma3d_matrices, gamma3d_matrix
 from .gamma import GammaMatrix
@@ -128,6 +128,7 @@ _MEMOS = {kind: OrderedDict()
 
 
 def _grid_and_tables(p_max, l_min, l_max, r_samples):
+    _check_table_budget(p_max, l_min, l_max, r_samples)
     grid = default_radial_grid(r_samples)
     tables = synthesize_basis(p_max, l_min, l_max, grid)
     return (grid, tables), (grid.r, tables.q, tables.q_tilde, tables.C,
@@ -185,13 +186,13 @@ def _problem(config: RunConfig):
     return tables, mapping, grid
 
 
-def _mu_quadrature(tables):
-    """The separable engine's mu rule, ``default_mu_points(l_max)`` nodes,
-    and its Legendre table, from the memos.  A set-up over the memory
-    budget is refused first, before the O(n^2) rule is built."""
+def _mu_points(tables):
+    """The node count of the separable engine's mu rule,
+    ``default_mu_points(l_max)``.  A set-up over the memory budget is
+    refused here, before the O(n^2) rule is built."""
     n_mu = default_mu_points(tables.l_max)
     _check_ptable_budget(tables, n_mu)
-    return _input("mu", (n_mu, tables.l_max), _mu_tables)
+    return n_mu
 
 
 # ----------------------------------------------------------------------
@@ -376,7 +377,8 @@ def run_gamma(config: RunConfig) -> GammaMatrix:
     config.validate()
     tables, mapping, grid = _problem(config)
     if config.mode == "gamma2d":
-        rule, legendre = _mu_quadrature(tables)
+        rule, legendre = _input("mu", (_mu_points(tables), tables.l_max),
+                                _mu_tables)
         return gamma2d_matrix(tables, mapping, grid, rule, legendre,
                               integrator=config.integrator,
                               workers=config.workers)
@@ -399,8 +401,10 @@ def run_crosscheck(config: RunConfig) -> ComparisonReport:
     """
     config.validate()
     tables, mapping, grid = _problem(config)
-    rule, legendre = _mu_quadrature(tables)
+    n_mu = _mu_points(tables)
+    # an over-budget domain is refused before the rule is built
     domain = _input("domain", (config.l_min, config.l_max), _domain)
+    rule, legendre = _input("mu", (n_mu, config.l_max), _mu_tables)
 
     t0 = time.perf_counter()
     g2 = gamma2d_matrix(tables, mapping, grid, rule, legendre,

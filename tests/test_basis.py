@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import cmbproj as cp
-from cmbproj.basis import (R_PEAK, R_SIGMA, MappingFormatError, _sha256,
-                           radial_peak_weight)
+from cmbproj.basis import (R_PEAK, R_SIGMA, MappingFormatError,
+                           _check_table_budget, _sha256, radial_peak_weight)
+from cmbproj.gamma import MEMORY_BUDGET
 
 
 class TestDefaultModeMapping:
@@ -176,6 +177,45 @@ class TestSynthesizeBasis:
         v[0] = bad
         with pytest.raises(ValueError, match="v_l"):
             dataclasses.replace(t, v=v)
+
+    @pytest.mark.parametrize("p_max,l_max,n_r", [(4, 100, 216),
+                                                 (3, 16, 1768),
+                                                 (1, 2, 100000)])
+    def test_budget_counts_the_peak(self, p_max, l_max, n_r):
+        # the grid, the tables and the spline weights, the costliest
+        # integrator's; tracemalloc also sees numpy's iteration buffer
+        # and the O(p L) tables
+        tracemalloc.start()
+        try:
+            grid = cp.default_radial_grid(n_r)
+            tables = cp.synthesize_basis(p_max, 2, l_max, grid)
+            cp.integration_weights(grid.r, "spline")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = _check_table_budget(p_max, 2, l_max, n_r)
+        assert peak <= count + (1 << 17)
+        assert count < 1.25 * peak + (1 << 17)
+        assert count > 1.1 * tables.q_tilde.nbytes
+
+    def test_over_budget_refused_before_allocation(self, tables,
+                                                   monkeypatch):
+        import cmbproj.basis as basis
+        def refuse(r):
+            raise AssertionError("the radial profile was built")
+        monkeypatch.setattr(basis, "radial_peak_weight", refuse)
+        monkeypatch.setattr(basis, "MEMORY_BUDGET", 1024)
+        _, grid = tables
+        with pytest.raises(MemoryError, match="budget allows 1024"):
+            cp.synthesize_basis(1, 2, 2, grid)
+
+    def test_benchmark_sizes_never_refused(self):
+        # the largest p, R and L of any workload together, and two
+        # larger command-line runs
+        for p_max, l_max, n_r in [(4, 80, 1768), (6, 80, 216),
+                                  (8, 400, 216)]:
+            assert _check_table_budget(p_max, 2, l_max, n_r) \
+                < MEMORY_BUDGET // 100
 
 
 class TestFingerprint:

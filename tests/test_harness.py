@@ -797,6 +797,55 @@ class TestCli:
         assert rc == 3
         assert "triple domain needs" in capsys.readouterr().err
 
+    def test_crosscheck_domain_budget_before_mu_rule(self, capsys,
+                                                     monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"a {n}-node mu rule was built")
+        # AssertionError, which no exit code maps, so a rule built before
+        # the domain is refused fails the test
+        monkeypatch.setattr("cmbproj.harness.gauss_legendre", refuse)
+        rc = cli_main(["--mode", "crosscheck", "--lmax", "2000",
+                       "--pmax", "1", "--r-samples", "12"])
+        assert rc == 3
+        assert "triple domain needs" in capsys.readouterr().err
+
+    def test_table_budget_before_grid(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid or the tables were built")
+        monkeypatch.setattr("cmbproj.harness.default_radial_grid", refuse)
+        monkeypatch.setattr("cmbproj.harness.synthesize_basis", refuse)
+        # q_tilde alone would take 4 * 70000 * 999 * 8 bytes = 2.24 GB
+        rc = cli_main(["--mode", "gamma2d", "--pmax", "4", "--lmax", "1000",
+                       "--r-samples", "70000"])
+        assert rc == 3
+        need = 9 * 4 * 70000 * 999 + 136 * 70000
+        assert f"basis tables need {need} bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_gamma2d_file_matches_run_gamma(self, tmp_path, fmt):
+        out = tmp_path / f"gamma.{fmt}"
+        rc = cli_main(["--mode", "gamma2d", *self.ARGS, "--out", str(out),
+                       "--format", fmt])
+        assert rc == 0
+        loaded = cp.deserialize_gamma(out, fmt)
+        g = cp.run_gamma(cp.RunConfig(mode="gamma2d", l_min=2, l_max=8,
+                                      p_max=2, r_samples=30))
+        assert loaded.meta == g.meta
+        assert np.array_equal(loaded.values, g.values)
+
+    def test_convergence_rows_match_study(self, capsys):
+        assert cli_main(["--mode", "convergence", *self.ARGS]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if not line.startswith("# ")]
+        rows = cp.run_convergence_study(
+            cp.RunConfig(mode="convergence", l_min=2, l_max=8, p_max=2,
+                         r_samples=30))
+        assert lines[0] == "integrator,r_samples,rmse_percent,seconds"
+        # every column but the wall time
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            f"{r['integrator']},{r['r_samples']},{r['rmse_percent']:.17g}"
+            for r in rows]
+
     @pytest.mark.parametrize("flag,content", [
         ("--config", b"lmax=8\n# r\xe9sum\xff\n"),
         ("--mapping", b"modalmap v1 p_max=2 n_max=1\n0 0 0 \xff\n")])
@@ -818,3 +867,74 @@ class TestCli:
         proc = subprocess.run([exe, "--lmin", "9", "--lmax", "3"],
                               capture_output=True, text=True)
         assert proc.returncode == 2
+
+
+class TestAllocatorPolicy:
+    ARGS = ["--mode", "gamma2d", "--lmin", "2", "--lmax", "8", "--pmax", "2",
+            "--r-samples", "30"]
+
+    @staticmethod
+    def _run(capsys, argv):
+        rc = cli_main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    def test_thresholds_set_before_arguments_parsed(self, monkeypatch):
+        import ctypes
+
+        import cmbproj.cli as cli
+        calls = []
+
+        class Libc:
+            def __init__(self, name):
+                assert name is None
+
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        def parser():
+            calls.append("parse")
+            return build_parser()
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        monkeypatch.setattr(cli, "build_parser", parser)
+        assert cli_main(["--lmin", "5", "--lmax", "3"]) == 2
+        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20), "parse"]
+
+    @staticmethod
+    def _no_mallopt(name):
+        return object()
+
+    @staticmethod
+    def _unloadable(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("stub", ["_no_mallopt", "_unloadable"])
+    @pytest.mark.parametrize("argv", [ARGS, ["--lmin", "5", "--lmax", "3"]])
+    def test_no_op_without_mallopt(self, capsys, monkeypatch, stub, argv):
+        import ctypes
+        expected = self._run(capsys, argv)
+        monkeypatch.setattr(ctypes, "CDLL", getattr(self, stub))
+        assert self._run(capsys, argv) == expected
+
+    def test_ladder_process_reuses_its_pages(self):
+        # one process's page faults: ~85,000 at glibc's default thresholds,
+        # most of them the direct engine's slab temporaries faulted in
+        # afresh; importing numpy and cmbproj takes ~11,000
+        import os
+        import platform
+        import resource
+        import subprocess
+        import sys
+        if platform.libc_ver()[0] != "glibc":
+            pytest.skip("the policy is set through glibc's mallopt")
+        src = os.path.dirname(os.path.dirname(cp.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run([sys.executable, "-m", "cmbproj.cli", "--mode",
+                        "convergence", "--lmax", "16", "--pmax", "3"],
+                       env=env, capture_output=True, check=True)
+        faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt \
+            - before
+        assert faults < 20000

@@ -100,6 +100,32 @@ def test_workload_calls_fit_signature(name):
         signature.bind_partial(*args, **kwargs)
 
 
+def _config_reads():
+    """Every attribute and method workloads.py reads on a ``cfg``, a
+    ``RunConfig``."""
+    return sorted({node.attr for node in ast.walk(ast.parse(
+                       WORKLOADS.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "cfg"})
+
+
+CONFIG_READS = _config_reads()
+
+
+def test_config_reads_found():
+    # a renamed variable would leave the check below with nothing to test
+    assert {"l_max", "resolved_mu_points"} <= set(CONFIG_READS)
+
+
+@pytest.mark.parametrize("name", CONFIG_READS)
+def test_workload_config_reads_resolve(name):
+    # only --trace 1 runs and first-request checks reach these reads
+    value = getattr(cmbproj.RunConfig().validate(), name)
+    if callable(value):
+        value()
+
+
 def _opened_spans():
     """(layer, name) of every ``tracer.open("layer", "name")`` in
     workloads.py: spans the benchmark opens itself."""
