@@ -12,12 +12,13 @@ projected basis sharply peaked near the radius of last scattering.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .gamma import MEMORY_BUDGET
+from .gamma import _check_budget
 from .quadrature import _legendre_rows
 
 __all__ = [
@@ -98,11 +99,24 @@ def _permutation_counts(mapping: ModeMapping, p: int) -> np.ndarray:
     return s
 
 
+def _check_mapping_budget(n_max: int) -> int:
+    """A bound on the peak bytes of ``default_mode_mapping`` with n_max
+    entries, sized with tracemalloc: the list of tuples it is built from,
+    the entries and ``ModeMapping``'s duplicate check take 256-310 bytes
+    per entry at p_max <= 80, and entries above 256 add their own int
+    objects, so 512 are counted.  Over ``MEMORY_BUDGET`` is refused."""
+    return _check_budget(f"a mode mapping of {n_max} entries needs",
+                         512 * n_max)
+
+
 def default_mode_mapping(p_max: int) -> ModeMapping:
     """All ordered triples i <= j <= k < p_max, enumerated k-major
-    (k ascending, then j, then i); n_max = C(p_max+2, 3)."""
+    (k ascending, then j, then i); n_max = C(p_max+2, 3).  A mapping
+    whose peak (``_check_mapping_budget``) would exceed ``MEMORY_BUDGET``
+    raises MemoryError before it is built."""
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
+    _check_mapping_budget(math.comb(p_max + 2, 3))
     entries = [(i, j, k)
                for k in range(p_max)
                for j in range(k + 1)
@@ -273,11 +287,8 @@ def _check_table_budget(p_max: int, l_min: int, l_max: int,
     q_tilde and its finiteness mask take 9 bytes per entry, and the grid
     and the spline weights' work arrays 136 bytes per radial point.  Over
     ``MEMORY_BUDGET`` is refused."""
-    need = 9 * p_max * n_r * (l_max - l_min + 1) + 136 * n_r
-    if need > MEMORY_BUDGET:
-        raise MemoryError(f"basis tables need {need} bytes but the budget "
-                          f"allows {MEMORY_BUDGET}")
-    return need
+    return _check_budget("basis tables need",
+                         9 * p_max * n_r * (l_max - l_min + 1) + 136 * n_r)
 
 
 def synthesize_basis(p_max: int, l_min: int, l_max: int,

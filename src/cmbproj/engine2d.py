@@ -24,7 +24,7 @@ import numpy as np
 
 from .basis import (_PERMS3, BasisTables, ModeMapping, RadialGrid,
                     _permutation_counts)
-from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
+from .gamma import GammaMatrix, _base_meta, _check_budget
 from .quadrature import QuadratureRule, integration_weights
 from .scheduler import chunk_inputs, make_weighted_plan, run_chunks
 
@@ -56,20 +56,34 @@ def _l_weight(tables: BasisTables) -> np.ndarray:
     return (2.0 * ells + 1.0) / (tables.v * np.sqrt(tables.C))
 
 
-def _check_ptable_budget(tables: BasisTables, n_mu: int) -> int:
-    """Bytes of the P table [p, p, R, n_mu], ``build_ptable``'s ``left``
-    [p, p, R, L] and the Legendre table [l_max+1, n_mu] for ``tables``,
-    known before the mu rule is built; over ``MEMORY_BUDGET`` is refused."""
-    p, n_r, n_l = tables.q_tilde.shape
-    need = 8 * (p * p * n_r * (n_mu + n_l) + (tables.l_max + 1) * n_mu)
-    if need > MEMORY_BUDGET:
-        raise MemoryError(
-            f"P table, its build and the Legendre table need {need} bytes "
-            f"but the budget allows {MEMORY_BUDGET}")
-    return need
+def _check_ptable_budget(p: int, n_l: int, n_r: int, l_max: int,
+                         n_mu: int) -> int:
+    """Bytes of the P table [p, p, R, n_mu], the [p, p, R, L] product it is
+    built from and the Legendre table [l_max+1, n_mu], refused over budget."""
+    return _check_budget(
+        "P table, its build and the Legendre table need",
+        8 * (p * p * n_r * (n_mu + n_l) + (l_max + 1) * n_mu))
 
 
-def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
+def _check_sweep_budget(p: int, n_max: int, n_r: int, n_mu: int,
+                        workers: int) -> int:
+    """A bound on the peak bytes of ``gamma2d_matrix``'s mode-space
+    arrays, sized with tracemalloc: three [n_max, p^3] arrays at once (T,
+    S and the gathered rows; in the sweep, its accumulators, their
+    reordered copies and their concatenation), three more across a pool's
+    workers, the matrix with its finiteness mask, 256 bytes of row groups
+    per mode, and per worker one slab's pair products and weighted rows
+    [p^2, c], c = min(R, _FOLD // n_mu) n_mu.  Over ``MEMORY_BUDGET`` is
+    refused."""
+    rows = 6 if workers > 1 else 3
+    cols = min(n_r, max(1, _FOLD // n_mu)) * n_mu
+    return _check_budget(
+        "the separable sweep's mode-space arrays need",
+        8 * (rows * n_max * p**3 + n_max**2 + 2 * workers * p * p * cols)
+        + n_max**2 + 256 * n_max)
+
+
+def build_ptable(tables: BasisTables, rule: QuadratureRule,
                  legendre: np.ndarray) -> np.ndarray:
     """Precompute P[a, b, x, m] = sum_l lweight_l qtilde_b(r_x, l) q_a(l)
     P_l(mu_m), with late index a, primordial index b, radial point x and
@@ -81,10 +95,9 @@ def build_ptable(tables: BasisTables, grid: RadialGrid, rule: QuadratureRule,
     and a mu rule with fewer than ``min_mu_points(l_max)`` nodes is
     rejected: it does not integrate the mu product exactly.
     """
-    p = tables.p_max
-    n_r = tables.n_radial
+    p, n_r, n_l = tables.q_tilde.shape
     n_mu = rule.n
-    _check_ptable_budget(tables, n_mu)
+    _check_ptable_budget(p, n_l, n_r, tables.l_max, n_mu)
     if n_mu < min_mu_points(tables.l_max):
         raise ValueError(
             f"mu rule has {n_mu} nodes but l_max={tables.l_max} needs "
@@ -184,10 +197,14 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     One folded (r, mu) GEMM per group and radial slab, with the columns
     symmetrised once by S (see the module docstring).  Every row is
     computed by the same operations in any chunk, so the result is
-    bitwise identical for any worker count.
+    bitwise identical for any worker count.  Mode-space arrays
+    (``_check_sweep_budget``) that would exceed ``MEMORY_BUDGET`` are
+    refused before the P table is built.
     """
+    _check_sweep_budget(tables.p_max, mapping.n_max, tables.n_radial,
+                        rule.n, workers)
     wr2 = integration_weights(grid.r, integrator) * grid.r**2
-    ptable = build_ptable(tables, grid, rule, legendre)
+    ptable = build_ptable(tables, rule, legendre)
     weights = np.outer(wr2, rule.weights).ravel()
     groups = _pair_groups(mapping)
     sizes = [len(rows) for _, _, rows, _ in groups]

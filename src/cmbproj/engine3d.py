@@ -29,7 +29,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .basis import _PERMS3, BasisTables, ModeMapping, RadialGrid
-from .gamma import MEMORY_BUDGET, GammaMatrix, _base_meta
+from .gamma import GammaMatrix, _base_meta, _check_budget
 from .geometry import (H2_MODES, TriangularDomain, enumerate_domain,
                        geometric_prefactor, permutation_multiplicity,
                        theta_indicator)
@@ -97,6 +97,16 @@ def _block_bytes(p: int, n_max: int, n_radial: int, b: int, k: int) -> int:
     each.  Per block: X [k, n_max, b], P and one radial sum [n_max, b]."""
     cells = min(n_radial * b, max(_SLAB * b, _SLAB * _SLAB))
     return 8 * (cells * (3 * p + p * p + 3 * n_max) + b * (k + 2) * n_max)
+
+
+def _check_accumulator_budget(n_max: int, k: int, workers: int) -> int:
+    """Bytes of the sweep's k matrix accumulators [n_max, n_max], one set
+    per worker, and, with a pool, the copies the parent collects from the
+    workers; plus the finiteness mask of one matrix.  Over
+    ``MEMORY_BUDGET`` is refused."""
+    sets = 2 * workers if workers > 1 else 1
+    return _check_budget("the direct sweep's matrix accumulators need",
+                         8 * sets * k * n_max**2 + n_max**2)
 
 
 def _slab_accumulate(x_blk: np.ndarray, qt: np.ndarray, w: np.ndarray,
@@ -196,9 +206,10 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
     accumulates its own matrices block by block, and these are summed once
     in worker order.  Bitwise reproducible for a fixed (workers, block)
     pair.  A ``domain`` whose l range differs from the tables', an unknown
-    ``h2_mode``, no or an unknown integrator, and a block whose working
-    arrays (``_block_bytes``, bounded however large R is) would exceed
-    ``MEMORY_BUDGET`` are refused before any sweep starts.
+    ``h2_mode``, no or an unknown integrator, a block whose working arrays
+    (``_block_bytes``, bounded however large R is) and accumulators
+    (``_check_accumulator_budget``) that would exceed ``MEMORY_BUDGET``
+    are refused before any sweep starts.
     """
     if block < 1:
         raise ValueError("block must be >= 1")
@@ -218,12 +229,10 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
                       {"h2_mode": h2_mode, "block": int(block),
                        "workers": int(workers)})
     b = min(block, domain.count)
-    need = _block_bytes(tables.p_max, mapping.n_max, tables.n_radial, b,
-                        len(wr2))
-    if need > MEMORY_BUDGET:
-        raise MemoryError(
-            f"a block of {b} triples needs {need} bytes but the budget "
-            f"allows {MEMORY_BUDGET}")
+    _check_budget(f"a block of {b} triples needs",
+                  _block_bytes(tables.p_max, mapping.n_max, tables.n_radial,
+                               b, len(wr2)))
+    _check_accumulator_budget(mapping.n_max, len(wr2), workers)
     # chunks of whole blocks: a block's triples do not depend on workers;
     # no worker is forked for an empty chunk, and an empty domain sweeps
     # its empty range in this process

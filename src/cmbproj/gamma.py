@@ -14,6 +14,14 @@ __all__ = ["GammaMatrix"]
 MEMORY_BUDGET = 2 << 30
 
 
+def _check_budget(what: str, need: int) -> int:
+    """``need``, the bytes that ``what`` needs: refused over the budget."""
+    if need > MEMORY_BUDGET:
+        raise MemoryError(f"{what} {need} bytes but the budget allows "
+                          f"{MEMORY_BUDGET}")
+    return need
+
+
 @dataclass
 class GammaMatrix:
     """Projection matrix: rows are late-time modes n, columns primordial

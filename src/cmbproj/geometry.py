@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gamma import MEMORY_BUDGET
+from .gamma import _check_budget
 
 __all__ = [
     "H2_MODES",
@@ -153,12 +153,15 @@ def _triple_count(l_min: int, l_max: int) -> int:
     return int(np.sum(uncut + cut))
 
 
-def _enumeration_bytes(l_min: int, l_max: int) -> int:
+def _check_domain_budget(l_min: int, l_max: int) -> int:
     """A bound on the enumeration's peak bytes: six int64 arrays of one
     entry per triple (48 bytes), eight of one entry per (l1, l2) pair and
-    ``np.triu_indices``'s two L x L bool masks (under 34 L (L+1) bytes)."""
+    ``np.triu_indices``'s two L x L bool masks (under 34 L (L+1) bytes).
+    Over ``MEMORY_BUDGET`` is refused."""
     n_l = l_max - l_min + 1
-    return 48 * _triple_count(l_min, l_max) + 34 * n_l * (n_l + 1)
+    return _check_budget("triple domain needs",
+                         48 * _triple_count(l_min, l_max)
+                         + 34 * n_l * (n_l + 1))
 
 
 class TriangularDomain:
@@ -175,10 +178,7 @@ class TriangularDomain:
     def __init__(self, l_min: int, l_max: int):
         if not 2 <= l_min <= l_max:
             raise ValueError("require 2 <= l_min <= l_max")
-        need = _enumeration_bytes(l_min, l_max)
-        if need > MEMORY_BUDGET:
-            raise MemoryError(f"triple domain needs {need} bytes but the "
-                              f"budget allows {MEMORY_BUDGET}")
+        _check_domain_budget(l_min, l_max)
         self.l_min = l_min
         self.l_max = l_max
         # every (l1, l2) pair with l1 <= l2, in lexicographic order

@@ -16,20 +16,25 @@ bounded by entry count and entry size.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .basis import (_check_table_budget, default_mode_mapping,
-                    default_radial_grid, load_mode_mapping, synthesize_basis)
-from .engine2d import _check_ptable_budget, default_mu_points, gamma2d_matrix
-from .engine3d import DEFAULT_BLOCK, gamma3d_matrices, gamma3d_matrix
+from .basis import (_check_mapping_budget, _check_table_budget,
+                    default_mode_mapping, default_radial_grid,
+                    load_mode_mapping, synthesize_basis)
+from .engine2d import (_check_ptable_budget, _check_sweep_budget,
+                       default_mu_points, gamma2d_matrix)
+from .engine3d import (DEFAULT_BLOCK, _check_accumulator_budget,
+                       gamma3d_matrices, gamma3d_matrix)
 from .gamma import GammaMatrix
-from .geometry import H2_MODES, enumerate_domain, h2_exact, h2_gosper
+from .geometry import (H2_MODES, _check_domain_budget, enumerate_domain,
+                       h2_exact, h2_gosper)
 from .quadrature import INTEGRATORS, gauss_legendre, legendre_table
 
 __all__ = [
@@ -128,7 +133,6 @@ _MEMOS = {kind: OrderedDict()
 
 
 def _grid_and_tables(p_max, l_min, l_max, r_samples):
-    _check_table_budget(p_max, l_min, l_max, r_samples)
     grid = default_radial_grid(r_samples)
     tables = synthesize_basis(p_max, l_min, l_max, grid)
     return (grid, tables), (grid.r, tables.q, tables.q_tilde, tables.C,
@@ -169,30 +173,45 @@ def _input(kind, key, build):
     return value
 
 
-def _problem(config: RunConfig):
-    """Tables, mapping and grid for a configuration, from the memos; a
-    mapping file is read on every call."""
-    grid, tables = _input("tables", (config.p_max, config.l_min,
-                                     config.l_max, config.r_samples),
-                          _grid_and_tables)
+def _problem(config: RunConfig, mode: str, radii: tuple):
+    """A ``mode`` run's mapping, mu rule and Legendre table, triple domain
+    (None where its engine does not run) and (grid, tables) per radial
+    count in ``radii``, lazily.  Every size is checked against the memory
+    budget, the domain's on a memo miss, before anything is built."""
+    p, l_min, l_max = config.p_max, config.l_min, config.l_max
     if config.mapping == "default":
-        mapping = _input("mapping", (config.p_max,), _default_mapping)
+        mapping, n_max = None, math.comb(p + 2, 3)
+        _check_mapping_budget(n_max)
     else:
         mapping = load_mode_mapping(config.mapping)
-        if mapping.p_max > config.p_max:
+        if mapping.p_max > p:
             raise ConfigError(
                 f"mapping file needs p_max={mapping.p_max} but run has "
-                f"p_max={config.p_max}")
-    return tables, mapping, grid
-
-
-def _mu_points(tables):
-    """The node count of the separable engine's mu rule,
-    ``default_mu_points(l_max)``.  A set-up over the memory budget is
-    refused here, before the O(n^2) rule is built."""
-    n_mu = default_mu_points(tables.l_max)
-    _check_ptable_budget(tables, n_mu)
-    return n_mu
+                f"p_max={p}")
+        n_max = mapping.n_max
+    for n_r in radii:
+        _check_table_budget(p, l_min, l_max, n_r)
+    separable = mode in ("gamma2d", "crosscheck")
+    direct = mode != "gamma2d"
+    n_mu = default_mu_points(l_max)
+    if separable:
+        _check_sweep_budget(p, n_max, config.r_samples, n_mu,
+                            config.workers)
+        _check_ptable_budget(p, l_max - l_min + 1, config.r_samples, l_max,
+                             n_mu)
+    if direct:
+        _check_accumulator_budget(
+            n_max, len(INTEGRATOR_NAMES) if mode == "convergence" else 1,
+            config.workers)
+        if (l_min, l_max) not in _MEMOS["domain"]:
+            _check_domain_budget(l_min, l_max)
+    if mapping is None:
+        mapping = _input("mapping", (p,), _default_mapping)
+    mu = _input("mu", (n_mu, l_max), _mu_tables) if separable else None
+    domain = _input("domain", (l_min, l_max), _domain) if direct else None
+    problems = (_input("tables", (p, l_min, l_max, n_r), _grid_and_tables)
+                for n_r in radii)
+    return mapping, mu, domain, problems
 
 
 # ----------------------------------------------------------------------
@@ -372,24 +391,21 @@ def run_gamma(config: RunConfig) -> GammaMatrix:
     """Compute the matrix with the configured engine.
 
     A configuration's grid and tables, default mapping, mu rule with its
-    Legendre table and triple domain come from the memos.
+    Legendre table and triple domain come from ``_problem``.
     """
     config.validate()
-    tables, mapping, grid = _problem(config)
+    if config.mode not in ("gamma2d", "gamma3d"):
+        raise ConfigError(f"mode {config.mode!r} does not produce a matrix")
+    mapping, mu, domain, problems = _problem(config, config.mode,
+                                             (config.r_samples,))
+    grid, tables = next(problems)
     if config.mode == "gamma2d":
-        rule, legendre = _input("mu", (_mu_points(tables), tables.l_max),
-                                _mu_tables)
-        return gamma2d_matrix(tables, mapping, grid, rule, legendre,
+        return gamma2d_matrix(tables, mapping, grid, *mu,
                               integrator=config.integrator,
                               workers=config.workers)
-    if config.mode == "gamma3d":
-        domain = _input("domain", (config.l_min, config.l_max), _domain)
-        return gamma3d_matrix(tables, mapping, grid,
-                              h2_mode=config.h2_mode,
-                              integrator=config.integrator,
-                              block=config.block, workers=config.workers,
-                              domain=domain)
-    raise ConfigError(f"mode {config.mode!r} does not produce a matrix")
+    return gamma3d_matrix(tables, mapping, grid, h2_mode=config.h2_mode,
+                          integrator=config.integrator, block=config.block,
+                          workers=config.workers, domain=domain)
 
 
 def run_crosscheck(config: RunConfig) -> ComparisonReport:
@@ -400,11 +416,9 @@ def run_crosscheck(config: RunConfig) -> ComparisonReport:
     deviation envelope is reported alongside.
     """
     config.validate()
-    tables, mapping, grid = _problem(config)
-    n_mu = _mu_points(tables)
-    # an over-budget domain is refused before the rule is built
-    domain = _input("domain", (config.l_min, config.l_max), _domain)
-    rule, legendre = _input("mu", (n_mu, config.l_max), _mu_tables)
+    mapping, (rule, legendre), domain, problems = _problem(
+        config, "crosscheck", (config.r_samples,))
+    grid, tables = next(problems)
 
     t0 = time.perf_counter()
     g2 = gamma2d_matrix(tables, mapping, grid, rule, legendre,
@@ -447,17 +461,18 @@ def run_convergence_study(config: RunConfig,
     time of its point count's shared sweep, set-up included.
     """
     config.validate()
-    domain = _input("domain", (config.l_min, config.l_max), _domain)
+    radii = tuple(dict.fromkeys((GOLD_R, *ladder)))
+    mapping, _, domain, problems = _problem(config, "convergence", radii)
     sweeps = {}
-    for n_r in dict.fromkeys((GOLD_R, *ladder)):
-        t0 = time.perf_counter()
-        tables, mapping, grid = _problem(replace(config, r_samples=n_r))
+    t0 = time.perf_counter()
+    for n_r, (grid, tables) in zip(radii, problems):
         matrices = gamma3d_matrices(
             tables, mapping, grid, h2_mode=config.h2_mode,
             integrators=INTEGRATOR_NAMES, block=config.block,
             workers=config.workers, domain=domain)
         sweeps[n_r] = (dict(zip(INTEGRATOR_NAMES, matrices)),
                        time.perf_counter() - t0)
+        t0 = time.perf_counter()
     gold = sweeps[GOLD_R][0]["spline"]
     return [{"integrator": integrator, "r_samples": n_r,
              "rmse_percent": rmse_percent(sweeps[n_r][0][integrator], gold),

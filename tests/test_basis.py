@@ -7,7 +7,8 @@ import pytest
 
 import cmbproj as cp
 from cmbproj.basis import (R_PEAK, R_SIGMA, MappingFormatError,
-                           _check_table_budget, _sha256, radial_peak_weight)
+                           _check_mapping_budget, _check_table_budget,
+                           _sha256, radial_peak_weight)
 from cmbproj.gamma import MEMORY_BUDGET
 
 
@@ -39,6 +40,27 @@ class TestDefaultModeMapping:
     def test_rejects_bad_pmax(self):
         with pytest.raises(ValueError):
             cp.default_mode_mapping(0)
+
+    @pytest.mark.parametrize("p_max", [20, 40, 80])
+    def test_budget_counts_the_peak(self, p_max):
+        tracemalloc.start()
+        try:
+            cp.default_mode_mapping(p_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = _check_mapping_budget(math.comb(p_max + 2, 3))
+        assert peak <= count < 2.1 * peak
+
+    def test_over_budget_refused_before_building(self, monkeypatch):
+        import cmbproj.basis as basis
+        def refuse(*args):
+            raise AssertionError("the mapping was built")
+        monkeypatch.setattr(basis, "ModeMapping", refuse)
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET", 1024)
+        with pytest.raises(MemoryError, match="a mode mapping of 10 entries "
+                                              "needs 5120 bytes"):
+            cp.default_mode_mapping(3)
 
 
 class TestMappingFile:
@@ -204,9 +226,10 @@ class TestSynthesizeBasis:
         def refuse(r):
             raise AssertionError("the radial profile was built")
         monkeypatch.setattr(basis, "radial_peak_weight", refuse)
-        monkeypatch.setattr(basis, "MEMORY_BUDGET", 1024)
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET", 1024)
         _, grid = tables
-        with pytest.raises(MemoryError, match="budget allows 1024"):
+        with pytest.raises(MemoryError,
+                           match="basis tables need .* budget allows 1024"):
             cp.synthesize_basis(1, 2, 2, grid)
 
     def test_benchmark_sizes_never_refused(self):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import cmbproj as cp
-from cmbproj.engine2d import (_check_ptable_budget, _l_weight, _pair_groups,
-                              _permanent3, _sweep, default_mu_points)
+from cmbproj.engine2d import (_check_ptable_budget, _check_sweep_budget,
+                              _l_weight, _pair_groups, _permanent3, _sweep,
+                              default_mu_points)
 from conftest import NoPool, Problem, RecordingContext
 
 
@@ -54,14 +55,14 @@ class TestPermanent3:
 
 class TestPTable:
     def test_shape(self, desk):
-        pt = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
+        pt = cp.build_ptable(desk.tables, desk.rule, desk.legendre)
         L = desk.l_max - desk.l_min + 1
         assert pt.shape == (desk.p_max, desk.p_max,
                             len(desk.grid), desk.rule.n)
         assert L == 15
 
     def test_matches_direct_sum(self, desk):
-        pt = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
+        pt = cp.build_ptable(desk.tables, desk.rule, desk.legendre)
         t = desk.tables
         lw = _l_weight(t)
         pl = desk.legendre[t.l_min:t.l_max + 1]
@@ -70,10 +71,11 @@ class TestPTable:
             assert pt[a, b, x, m] == pytest.approx(direct, rel=1e-12)
 
     def test_budget_enforced(self, desk, monkeypatch):
-        import cmbproj.engine2d as e2
-        monkeypatch.setattr(e2, "MEMORY_BUDGET", 1024)
-        with pytest.raises(MemoryError, match="budget allows 1024"):
-            cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET", 1024)
+        with pytest.raises(MemoryError, match="P table, its build and the "
+                                              "Legendre table need .* "
+                                              "budget allows 1024"):
+            cp.build_ptable(desk.tables, desk.rule, desk.legendre)
 
     @pytest.mark.parametrize("p_max,l_max,n_r", [(3, 40, 216), (4, 80, 216),
                                                  (6, 24, 108)])
@@ -84,11 +86,12 @@ class TestPTable:
         pr = Problem(2, l_max, p_max, n_r)
         tracemalloc.start()
         try:
-            table = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
+            table = cp.build_ptable(pr.tables, pr.rule, pr.legendre)
             peak = tracemalloc.get_traced_memory()[1] + pr.legendre.nbytes
         finally:
             tracemalloc.stop()
-        count = _check_ptable_budget(pr.tables, pr.rule.n)
+        count = _check_ptable_budget(p_max, l_max - 1, n_r, l_max,
+                                     pr.rule.n)
         assert peak <= count + (1 << 17)
         # the table alone, all the count once held, is ~1.7x short
         assert peak > 1.5 * table.nbytes
@@ -98,16 +101,55 @@ class TestPTable:
         # came out with the wrong norm and no error
         def build(n_mu):
             rule = cp.gauss_legendre(n_mu)
-            return cp.build_ptable(desk.tables, desk.grid, rule,
+            return cp.build_ptable(desk.tables, rule,
                                    cp.legendre_table(desk.l_max, rule))
         with pytest.raises(ValueError, match=">= 25"):
             build(24)
         assert build(25).shape[-1] == 25
 
     def test_deterministic(self, desk):
-        a = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
-        b = cp.build_ptable(desk.tables, desk.grid, desk.rule, desk.legendre)
+        a = cp.build_ptable(desk.tables, desk.rule, desk.legendre)
+        b = cp.build_ptable(desk.tables, desk.rule, desk.legendre)
         assert np.array_equal(a, b)
+
+
+class TestSweepBudget:
+    @pytest.mark.parametrize("p_max", [12, 16, 20])
+    def test_counts_bound_the_peak(self, p_max):
+        # with the P-table count, the sweep's count bounds a whole matrix;
+        # at p 20 the P-table count alone was 0.85 MB of a 318 MB peak
+        pr = Problem(2, 8, p_max, 12)
+        tracemalloc.start()
+        try:
+            cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
+                              pr.legendre)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = (_check_sweep_budget(p_max, pr.mapping.n_max, 12, pr.rule.n,
+                                     1)
+                 + _check_ptable_budget(p_max, 7, 12, 8, pr.rule.n))
+        assert peak <= count < 1.1 * peak
+
+    def test_refused_before_the_p_table(self, desk, monkeypatch):
+        import cmbproj.engine2d as e2
+        def refuse(*args):
+            raise AssertionError("the P table or the row groups were built")
+        monkeypatch.setattr(e2, "build_ptable", refuse)
+        monkeypatch.setattr(e2, "_pair_groups", refuse)
+        need = _check_sweep_budget(desk.p_max, desk.mapping.n_max,
+                                   len(desk.grid), desk.rule.n, 1)
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET", need - 1)
+        with pytest.raises(MemoryError, match=f"mode-space arrays need "
+                                              f"{need} bytes"):
+            cp.gamma2d_matrix(desk.tables, desk.mapping, desk.grid,
+                              desk.rule, desk.legendre)
+
+    def test_pool_counts_its_workers(self):
+        # three more [n_max, p^3] arrays and one more slab per worker
+        one = _check_sweep_budget(4, 20, 216, 50, 1)
+        two = _check_sweep_budget(4, 20, 216, 50, 2)
+        assert two - one == 8 * (3 * 20 * 4**3 + 2 * 16 * 3050)
 
 
 class TestMatrix:
@@ -228,7 +270,7 @@ class TestRowSweep:
         peaks = []
         for n_r in (216, 1768):
             pr = Problem(l_min=2, l_max=40, p_max=4, n_r=n_r)
-            pt = cp.build_ptable(pr.tables, pr.grid, pr.rule, pr.legendre)
+            pt = cp.build_ptable(pr.tables, pr.rule, pr.legendre)
             wr2 = cp.integration_weights(pr.grid.r, "spline") * pr.grid.r**2
             job = (_pair_groups(pr.mapping), pt,
                    np.outer(wr2, pr.rule.weights).ravel())

@@ -394,27 +394,68 @@ class TestBlockBudget:
         def no_sweep(*args):
             raise AssertionError("sweep started")
         monkeypatch.setattr(e3, "_sweep", no_sweep)
-        monkeypatch.setattr(e3, "MEMORY_BUDGET", self._need(desk, 64) - 1)
-        with pytest.raises(MemoryError, match="budget"):
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET",
+                            self._need(desk, 64) - 1)
+        with pytest.raises(MemoryError, match="a block of 64 triples needs"):
             cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid, block=64)
 
     def test_block_clipped_to_largest_chunk(self, desk, monkeypatch):
-        import cmbproj.engine3d as e3
         count = cp.enumerate_domain(desk.l_min, desk.l_max).count
-        monkeypatch.setattr(e3, "MEMORY_BUDGET", self._need(desk, count))
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET",
+                            self._need(desk, count))
         g = cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
                               block=10**9)
         assert g.shape == (desk.mapping.n_max, desk.mapping.n_max)
-        monkeypatch.setattr(e3, "MEMORY_BUDGET",
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET",
                             self._need(desk, count) - 1)
-        with pytest.raises(MemoryError):
+        with pytest.raises(MemoryError,
+                           match=f"a block of {count} triples needs"):
             cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid,
                               block=10**9)
 
     def test_cli_exit_3(self, monkeypatch, capsys):
         from cmbproj.cli import main as cli_main
-        monkeypatch.setattr("cmbproj.engine3d.MEMORY_BUDGET", 1024)
+        from cmbproj.engine3d import _block_bytes
+        # every other count of this run is below the block's
+        count = cp.enumerate_domain(2, 8).count
+        need = _block_bytes(2, 4, 30, count, 1)
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET", need - 1)
         rc = cli_main(["--mode", "gamma3d", "--lmin", "2", "--lmax", "8",
                        "--pmax", "2", "--r-samples", "30"])
         assert rc == 3
-        assert "numerical error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert f"a block of {count} triples needs {need} bytes" in err
+
+    @pytest.mark.parametrize("p_max", [12, 16, 20])
+    def test_counts_bound_the_peak(self, p_max):
+        # the block alone was 21.4 MB of a 77.9 MB peak at p 20
+        import cmbproj.engine3d as e3
+        pr = Problem(2, 8, p_max, 12)
+        domain = cp.enumerate_domain(2, 8)
+        n_max = pr.mapping.n_max
+        peak = TestRadialSlabs._peak(cp.gamma3d_matrices, pr.tables,
+                                     pr.mapping, pr.grid, "gosper", STACK,
+                                     64, 1, domain)
+        count = (e3._block_bytes(p_max, n_max, 12, domain.count, len(STACK))
+                 + e3._check_accumulator_budget(n_max, len(STACK), 1))
+        assert peak <= count < 1.1 * peak
+
+    def test_accumulators_refused_before_sweep(self, monkeypatch):
+        import cmbproj.engine3d as e3
+        def no_sweep(*args):
+            raise AssertionError("sweep started")
+        monkeypatch.setattr(e3, "_sweep", no_sweep)
+        pr = Problem(2, 8, 12, 12)
+        need = e3._check_accumulator_budget(pr.mapping.n_max, 1, 1)
+        # a one-triple block needs less than its 364 x 364 accumulator
+        assert e3._block_bytes(12, pr.mapping.n_max, 12, 1, 1) < need
+        monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET", need - 1)
+        with pytest.raises(MemoryError,
+                           match=f"matrix accumulators need {need} bytes"):
+            cp.gamma3d_matrix(pr.tables, pr.mapping, pr.grid, block=1)
+
+    def test_pool_counts_the_parent_copies(self):
+        from cmbproj.engine3d import _check_accumulator_budget
+        assert _check_accumulator_budget(20, 3, 1) == 8 * 3 * 400 + 400
+        assert _check_accumulator_budget(20, 3, 2) == 8 * 4 * 3 * 400 + 400

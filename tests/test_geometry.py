@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import cmbproj as cp
 from cmbproj.gamma import MEMORY_BUDGET
-from cmbproj.geometry import _enumeration_bytes, _triple_count
+from cmbproj.geometry import _check_domain_budget, _triple_count
 from conftest import h2_oracle, wigner3j_squared_exact
 
 
@@ -260,7 +260,7 @@ class TestEnumerateDomain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _enumeration_bytes(l_min, 200)
+        assert peak <= _check_domain_budget(l_min, 200)
 
     def test_over_budget_refused_before_enumeration(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -272,7 +272,7 @@ class TestEnumerateDomain:
     def test_benchmark_sizes_never_refused(self):
         # every workload stays at l_max <= 80; the widest l range is the
         # largest domain
-        assert _enumeration_bytes(2, 80) < MEMORY_BUDGET // 1000
+        assert _check_domain_budget(2, 80) < MEMORY_BUDGET // 1000
         assert cp.enumerate_domain(2, 80).count == 23661
 
     def test_enumerated_triples_are_valid_and_ordered(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import struct
@@ -594,6 +595,22 @@ class TestInputMemo:
                 for name, g in zip(("trap", "hermite", "spline"), sweeps[30])]
 
 
+def test_workload_sizes_never_refused():
+    # every workload has p_max <= 4, l_max <= 80, R <= 1768 and at most
+    # two workers; the tables and the domain have their own such tests
+    from cmbproj.basis import _check_mapping_budget
+    from cmbproj.engine2d import _check_sweep_budget
+    from cmbproj.engine3d import _check_accumulator_budget
+    from cmbproj.gamma import MEMORY_BUDGET
+    for p_max in range(1, 5):
+        n_max = math.comb(p_max + 2, 3)
+        for need in (_check_mapping_budget(n_max),
+                     _check_sweep_budget(p_max, n_max, 1768,
+                                         default_mu_points(80), 2),
+                     _check_accumulator_budget(n_max, 3, 2)):
+            assert need < MEMORY_BUDGET // 1000
+
+
 class TestConfigFile:
     # one non-default, valid value per key of the flag/config-file table
     SAMPLES = {"mode": "gamma3d", "lmin": "3", "lmax": "10", "pmax": "2",
@@ -808,6 +825,57 @@ class TestCli:
                        "--pmax", "1", "--r-samples", "12"])
         assert rc == 3
         assert "triple domain needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        # the domain of l 2..2000 takes 16.2 GB; the tables, 288 MB, fit
+        (["--mode", "gamma3d", "--lmax", "2000", "--pmax", "4",
+          "--r-samples", "4000"], "triple domain needs"),
+        # the P table's set-up takes 2.19 GB; the tables, 122 MB, fit
+        (["--mode", "gamma2d", "--lmax", "1000", "--pmax", "8",
+          "--r-samples", "1700"], "P table, its build and the Legendre"),
+    ])
+    def test_refused_before_grid_and_tables(self, args, message, capsys,
+                                            monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid or the tables were built")
+        monkeypatch.setattr("cmbproj.harness.default_radial_grid", refuse)
+        monkeypatch.setattr("cmbproj.harness.synthesize_basis", refuse)
+        assert cli_main(args) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        # 4960 modes: [n_max, p^3] arrays of 1.07 GB each
+        (["--mode", "gamma2d", "--pmax", "30", "--lmax", "8",
+          "--r-samples", "12"], "separable sweep's mode-space arrays need"),
+        # 19600 modes: a 3.1 GB accumulator
+        (["--mode", "gamma3d", "--pmax", "48", "--lmax", "8",
+          "--r-samples", "12"], "direct sweep's matrix accumulators need"),
+        # 11480 modes: three 1.05 GB accumulators, one per integrator
+        (["--mode", "convergence", "--pmax", "40", "--lmax", "8"],
+         "direct sweep's matrix accumulators need"),
+        # 1.34e9 modes: the default mapping alone would take ~370 GB
+        (["--mode", "gamma3d", "--pmax", "2000", "--r-samples", "12"],
+         "a mode mapping of 1335334000 entries needs"),
+    ])
+    def test_mode_space_refused_before_tables(self, args, message, capsys,
+                                              monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the tables or the mapping were built")
+        monkeypatch.setattr("cmbproj.harness.synthesize_basis", refuse)
+        monkeypatch.setattr("cmbproj.harness.default_mode_mapping", refuse)
+        monkeypatch.setattr("cmbproj.basis.default_mode_mapping", refuse)
+        assert cli_main(args) == 3
+        assert message in capsys.readouterr().err
+
+    def test_mapping_file_sizes_the_mode_space(self, tmp_path, capsys):
+        # one mode at p_max 48, where the default mapping's 19600 are
+        # refused: the counts use the file's n_max
+        path = tmp_path / "one.map"
+        cp.save_mode_mapping(cp.ModeMapping(np.array([[0, 0, 47]]), 48),
+                             path)
+        assert cli_main(["--mode", "gamma3d", "--pmax", "48", "--lmax", "8",
+                         "--r-samples", "12", "--mapping", str(path)]) == 0
+        assert "matrix 1x1" in capsys.readouterr().out
 
     def test_table_budget_before_grid(self, capsys, monkeypatch):
         def refuse(*args):
