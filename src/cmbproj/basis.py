@@ -45,12 +45,33 @@ class MappingFormatError(ValueError):
     """Malformed mode-mapping file."""
 
 
+# a mapping file's name for each fault of ``_mapping_faults``
+_FAULTS = ("unordered triple", "index out of range [0, p_max)",
+           "duplicate triple")
+
+
 def _sha256(*chunks) -> str:
     """Digest of the concatenated bytes or C-contiguous buffers."""
     h = hashlib.sha256()
     for c in chunks:
         h.update(c)
     return h.hexdigest()[:16]
+
+
+def _mapping_faults(e: np.ndarray, p_max: int) -> tuple[int, int, int]:
+    """The first row of the int64 triples ``e`` [n, 3] that is unordered
+    (not i <= j <= k), that has an index outside [0, p_max) and that
+    repeats an earlier row, each n if none does.  Repeats are found by a
+    stable sort of the rows, which, unlike a flat key, cannot overflow."""
+    order = np.lexsort(e.T)
+    same = np.ones(max(len(e) - 1, 0), dtype=bool)
+    for col in e.T:
+        s = col[order]
+        same &= s[1:] == s[:-1]
+    return tuple(int(np.min(rows, initial=len(e))) for rows in (
+        np.flatnonzero((e[:, 0] > e[:, 1]) | (e[:, 1] > e[:, 2])),
+        np.flatnonzero(((e < 0) | (e >= p_max)).any(axis=1)),
+        order[1:][same]))
 
 
 @dataclass(frozen=True)
@@ -65,11 +86,12 @@ class ModeMapping:
         object.__setattr__(self, "entries", e)
         if len(e) == 0:
             raise ValueError("mode mapping must contain at least one entry")
-        if np.any(e < 0) or np.any(e >= self.p_max):
+        unordered, out_of_range, repeat = _mapping_faults(e, self.p_max)
+        if out_of_range < len(e):
             raise ValueError("mapping indices must lie in [0, p_max)")
-        if np.any(e[:, 0] > e[:, 1]) or np.any(e[:, 1] > e[:, 2]):
+        if unordered < len(e):
             raise ValueError("mapping triples must satisfy i <= j <= k")
-        if len({tuple(t) for t in e.tolist()}) != len(e):
+        if repeat < len(e):
             raise ValueError("mapping contains duplicate triples")
 
     @property
@@ -88,25 +110,21 @@ class ModeMapping:
 _PERMS3 = tuple(permutations((0, 1, 2)))
 
 
-def _permutation_counts(mapping: ModeMapping, p: int) -> np.ndarray:
-    """S[n, b] = how many of the six orderings of mapping triple n have
-    flat index b = (b1 p + b2) p + b3; ``p`` is the tables' p_max."""
-    e = mapping.entries
-    s = np.zeros((mapping.n_max, p**3))
-    rows = np.arange(mapping.n_max)
-    for a, b, c in _PERMS3:
-        s[rows, (e[:, a] * p + e[:, b]) * p + e[:, c]] += 1.0
-    return s
+def _ordering_index(mapping: ModeMapping, p: int) -> np.ndarray:
+    """idx [6, n_max]: the flat index (a p + b) p + c of ordering s
+    (``_PERMS3``) of mapping triple n at idx[s, n], ``p`` the tables'
+    p_max.  Both engines symmetrise with this one table."""
+    return (mapping.entries[:, _PERMS3] @ np.array([p * p, p, 1])).T
 
 
 def _check_mapping_budget(n_max: int) -> int:
     """A bound on the peak bytes of ``default_mode_mapping`` with n_max
-    entries, sized with tracemalloc: the list of tuples it is built from,
-    the entries and ``ModeMapping``'s duplicate check take 256-310 bytes
-    per entry at p_max <= 80, and entries above 256 add their own int
-    objects, so 512 are counted.  Over ``MEMORY_BUDGET`` is refused."""
+    entries, sized with tracemalloc: the int64 entries and
+    ``_mapping_faults``' sort order, sorted column and masks take 50
+    bytes per entry at p_max 80, so 64 are counted, and the sort's own
+    buffers 11 KiB, so 16 KiB.  Over ``MEMORY_BUDGET`` is refused."""
     return _check_budget(f"a mode mapping of {n_max} entries needs",
-                         512 * n_max)
+                         64 * n_max + (1 << 14))
 
 
 def default_mode_mapping(p_max: int) -> ModeMapping:
@@ -117,11 +135,11 @@ def default_mode_mapping(p_max: int) -> ModeMapping:
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     _check_mapping_budget(math.comb(p_max + 2, 3))
-    entries = [(i, j, k)
-               for k in range(p_max)
-               for j in range(k + 1)
-               for i in range(j + 1)]
-    return ModeMapping(np.array(entries, dtype=np.int64), p_max)
+    # the pairs i <= j, j-major: the first (k+1)(k+2)/2 have j <= k
+    j, i = np.tril_indices(p_max)
+    return ModeMapping(np.concatenate([
+        np.stack([i[:m], j[:m], np.full(m, k)], axis=1)
+        for k, m in enumerate(np.cumsum(np.arange(1, p_max + 1)))]), p_max)
 
 
 def save_mode_mapping(mapping: ModeMapping, path) -> None:
@@ -157,37 +175,38 @@ def load_mode_mapping(path) -> ModeMapping:
     except ValueError as exc:
         raise MappingFormatError(f"bad header line: {lines[0]!r}") from exc
 
-    entries = []
-    seen = set()
+    # records up to the first malformed one; an earlier bad triple goes first
+    entries, linenos, error = [], [], None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise MappingFormatError(f"malformed record at line {lineno}")
         try:
-            n, i, j, k = (int(p) for p in parts)
-        except ValueError as exc:
-            raise MappingFormatError(
-                f"malformed record at line {lineno}") from exc
-        if n != len(entries):
-            raise MappingFormatError(
-                f"mode index not ascending at line {lineno}")
-        if not (i <= j <= k):
-            raise MappingFormatError(f"unordered triple at line {lineno}")
-        if not (0 <= i and k < p_max):
-            raise MappingFormatError(
-                f"index out of range [0, p_max) at line {lineno}")
-        if (i, j, k) in seen:
-            raise MappingFormatError(f"duplicate triple at line {lineno}")
-        seen.add((i, j, k))
-        entries.append((i, j, k))
-    if len(entries) != n_max:
+            n, i, j, k = (int(p) for p in line.split())
+        except ValueError:
+            error = "malformed record"
+        else:
+            if n != len(linenos):
+                error = "mode index not ascending"
+            elif max(abs(i), abs(j), abs(k)) >> 63:    # past int64
+                error = _FAULTS[i <= j <= k]    # unordered, else range
+        if error:
+            break
+        entries += (i, j, k)
+        linenos.append(lineno)
+    e = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    faults = _mapping_faults(e, p_max)
+    row = min(faults)
+    if row < len(e):
         raise MappingFormatError(
-            f"header says n_max={n_max} but file has {len(entries)} entries")
-    if not entries:
+            f"{_FAULTS[faults.index(row)]} at line {linenos[row]}")
+    if error:
+        raise MappingFormatError(f"{error} at line {lineno}")
+    if len(e) != n_max:
+        raise MappingFormatError(
+            f"header says n_max={n_max} but file has {len(e)} entries")
+    if not len(e):
         raise MappingFormatError("mapping file has no entries")
-    return ModeMapping(np.array(entries, dtype=np.int64), p_max)
+    return ModeMapping(e, p_max)
 
 
 @dataclass(frozen=True)

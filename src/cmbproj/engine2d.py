@@ -8,11 +8,12 @@ their (i, j) pair: over fixed slabs of radial points, each pair's
 factor P[i,b1] P[j,b2] is contracted with the weighted P[k,b3] of every
 k that pair has, summing r and mu together in one GEMM over a folded
 (r, mu) axis, into T[n, b].  The six-term permanent of each entry is
-then one product with the counts S of the column permutations,
-Gamma = T S^T / 48 pi.  This is the one table path; ``scheduler.run_chunks``
-runs its groups, split among the workers by their row counts.  The naive
-path recomputes the multipole sums per entry, exactly like the original
-hotspot, and is kept permanently as its oracle.
+then Gamma[n, n'] = sum_s T[n, idx[s, n']] / 48 pi over the orderings'
+flat indices ``basis._ordering_index``.  This is the one table path;
+``scheduler.run_chunks`` runs its groups, split among the workers by
+their row counts.  The naive path recomputes the multipole sums per
+entry, exactly like the original hotspot, and is kept permanently as its
+oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .basis import (_PERMS3, BasisTables, ModeMapping, RadialGrid,
-                    _permutation_counts)
+                    _ordering_index)
 from .gamma import GammaMatrix, _base_meta, _check_budget
 from .quadrature import QuadratureRule, integration_weights
 from .scheduler import chunk_inputs, make_weighted_plan, run_chunks
@@ -68,18 +69,18 @@ def _check_ptable_budget(p: int, n_l: int, n_r: int, l_max: int,
 def _check_sweep_budget(p: int, n_max: int, n_r: int, n_mu: int,
                         workers: int) -> int:
     """A bound on the peak bytes of ``gamma2d_matrix``'s mode-space
-    arrays, sized with tracemalloc: three [n_max, p^3] arrays at once (T,
-    S and the gathered rows; in the sweep, its accumulators, their
-    reordered copies and their concatenation), three more across a pool's
-    workers, the matrix with its finiteness mask, 256 bytes of row groups
-    per mode, and per worker one slab's pair products and weighted rows
-    [p^2, c], c = min(R, _FOLD // n_mu) n_mu.  Over ``MEMORY_BUDGET`` is
-    refused."""
-    rows = 6 if workers > 1 else 3
+    arrays, sized with tracemalloc: the sweep's rows T [n_max, p^3], and
+    three more across a pool (the workers' rows, their pickles and the
+    one being read); three [n_max, n_max] arrays (the matrix, a sum of
+    gathered orderings and the next) and the matrix's finiteness mask;
+    256 bytes of row groups per mode; and per worker one slab's pair
+    products and weighted rows [p^2, c], c = min(R, _FOLD // n_mu) n_mu.
+    Over ``MEMORY_BUDGET`` is refused."""
+    rows = 4 if workers > 1 else 1
     cols = min(n_r, max(1, _FOLD // n_mu)) * n_mu
     return _check_budget(
         "the separable sweep's mode-space arrays need",
-        8 * (rows * n_max * p**3 + n_max**2 + 2 * workers * p * p * cols)
+        8 * (rows * n_max * p**3 + 3 * n_max**2 + 2 * workers * p * p * cols)
         + n_max**2 + 256 * n_max)
 
 
@@ -158,25 +159,28 @@ def _pair_groups(mapping: ModeMapping):
 
 
 def _sweep(groups, pv, w):
-    """Rows of T for some (i, j) groups, from the P table ``pv`` and the
-    folded weights ``w``.  Per radial slab, one GEMM per group contracts
-    P[i,b1] P[j,b2] over the folded (r, mu) axis with the weighted rows
-    w P[k,b3] of every k the group has.  A group's operations are the
-    same in any chunk."""
+    """Rows of T for some (i, j) groups, in group order, from the P table
+    ``pv`` and the folded weights ``w``.  Per radial slab, one GEMM per
+    group contracts P[i,b1] P[j,b2] over the folded (r, mu) axis with the
+    weighted rows w P[k,b3] of every k the group has; a group's slabs are
+    summed in its own small accumulator before it fills the group's rows.
+    A group's operations are the same in any chunk."""
     p, _, n_r, n_mu = pv.shape
-    accs = [np.zeros((p * p, len(ks) * p)) for _, _, _, ks in groups]
     step = max(1, _FOLD // n_mu)
-    for x0 in range(0, n_r, step):
-        f = pv[:, :, x0:x0 + step].reshape(p, p, -1)    # [a, b, X n_mu]
-        ws = w[x0 * n_mu:(x0 + step) * n_mu]
-        for (i, j, _, ks), acc in zip(groups, accs):
+    t = np.empty((sum(len(ks) for _, _, _, ks in groups), p**3))
+    start = 0
+    for i, j, _, ks in groups:
+        acc = np.zeros((p * p, len(ks) * p))
+        for x0 in range(0, n_r, step):
+            f = pv[:, :, x0:x0 + step].reshape(p, p, -1)    # [a, b, X n_mu]
             left = (f[i][:, None] * f[j][None]).reshape(p * p, -1)
             right = f[list(ks)]
-            right *= ws
+            right *= w[x0 * n_mu:(x0 + step) * n_mu]
             acc += left @ right.reshape(-1, f.shape[-1]).T
-    return np.concatenate(
-        [acc.reshape(p, p, -1, p).transpose(2, 0, 1, 3).reshape(-1, p**3)
-         for acc in accs] or [np.zeros((0, p**3))])
+        t[start:start + len(ks)] = acc.reshape(p, p, -1, p).transpose(
+            2, 0, 1, 3).reshape(-1, p**3)
+        start += len(ks)
+    return t
 
 
 def _cells_chunk(groups):
@@ -195,9 +199,9 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     counts.
 
     One folded (r, mu) GEMM per group and radial slab, with the columns
-    symmetrised once by S (see the module docstring).  Every row is
-    computed by the same operations in any chunk, so the result is
-    bitwise identical for any worker count.  Mode-space arrays
+    symmetrised once by the ordering table (see the module docstring).
+    Every row is computed by the same operations in any chunk, so the
+    result is bitwise identical for any worker count.  Mode-space arrays
     (``_check_sweep_budget``) that would exceed ``MEMORY_BUDGET`` are
     refused before the P table is built.
     """
@@ -213,11 +217,11 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
             for start, stop in make_weighted_plan(sizes, workers)
             if start < stop]
     chunks = run_chunks(get_context, _cells_chunk, jobs, (ptable, weights))
-    order = [row for _, _, rows, _ in groups for row in rows]
-    t = np.empty((mapping.n_max, tables.p_max**3))
-    t[order] = np.concatenate(chunks)
-    s = _permutation_counts(mapping, tables.p_max)
-    values = t @ s.T / (48.0 * np.pi)
+    idx = _ordering_index(mapping, tables.p_max)
+    values = np.empty((mapping.n_max, mapping.n_max))
+    for job, t in zip(jobs, chunks):
+        values[[row for _, _, rows, _ in job for row in rows]] = sum(
+            t[:, cols] for cols in idx) / (48.0 * np.pi)
     meta = _base_meta(tables, grid, mapping, "modal2d", integrator,
                       {"n_mu": int(rule.n), "workers": int(workers)})
     return GammaMatrix(values, meta)

@@ -28,7 +28,8 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .basis import _PERMS3, BasisTables, ModeMapping, RadialGrid
+from .basis import (_PERMS3, BasisTables, ModeMapping, RadialGrid,
+                    _ordering_index)
 from .gamma import GammaMatrix, _base_meta, _check_budget
 from .geometry import (H2_MODES, TriangularDomain, enumerate_domain,
                        geometric_prefactor, permutation_multiplicity,
@@ -99,6 +100,14 @@ def _block_bytes(p: int, n_max: int, n_radial: int, b: int, k: int) -> int:
     return 8 * (cells * (3 * p + p * p + 3 * n_max) + b * (k + 2) * n_max)
 
 
+def _check_block_budget(p: int, n_max: int, n_radial: int, b: int,
+                        k: int) -> int:
+    """``_block_bytes`` of a block of b triples, refused over
+    ``MEMORY_BUDGET``."""
+    return _check_budget(f"a block of {b} triples needs",
+                         _block_bytes(p, n_max, n_radial, b, k))
+
+
 def _check_accumulator_budget(n_max: int, k: int, workers: int) -> int:
     """Bytes of the sweep's k matrix accumulators [n_max, n_max], one set
     per worker, and, with a pool, the copies the parent collects from the
@@ -131,7 +140,7 @@ def _slab_accumulate(x_blk: np.ndarray, qt: np.ndarray, w: np.ndarray,
 
 
 def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
-                      mapping: ModeMapping, wr2: np.ndarray,
+                      orders: list, wr2: np.ndarray,
                       l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
                       zm: np.ndarray) -> None:
     """Accumulate one triple block: gamma[k] += P X_k^T for each of the K
@@ -139,27 +148,21 @@ def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
 
     P[n, t] is the symmetrised late product, X_k[n', t] the symmetrised
     primordial product integrated with weights k and scaled by zm
-    (prefactor times permutation multiplicity).  X is summed over slabs of
+    (prefactor times permutation multiplicity), both summed over the
+    ``orders`` of ``_sweep``.  X is summed over slabs of
     ``_slab_points(B)`` radial points, so the block's arrays stay bounded
     however large R is.
     """
     i1 = l1 - tables.l_min
     i2 = l2 - tables.l_min
     i3 = l3 - tables.l_min
-    p = tables.p_max
-    cols = tuple(mapping.entries.T)          # (i, j, k) of every mode n
-
-    q1 = tables.q[:, i1]                     # [p, B]
-    q2 = tables.q[:, i2]
-    q3 = tables.q[:, i3]
-    p_blk = np.zeros((mapping.n_max, len(l1)))
-    for a, b, c in _PERMS3:
-        p_blk += q1[cols[a]] * q2[cols[b]] * q3[cols[c]]
-
-    # per ordering, the pair-product rows of its first two factors and the
-    # q~(l3) rows of its third
-    orders = [(cols[a] * p + cols[b], cols[c]) for a, b, c in _PERMS3]
-    x_blk = np.zeros((len(wr2), mapping.n_max, len(l1)))
+    q = tables.q
+    pairs = (q[:, i1][:, None] * q[:, i2]).reshape(-1, len(l1))   # [p^2, B]
+    q3 = q[:, i3]
+    p_blk = np.zeros((gamma.shape[1], len(l1)))
+    for ab, c in orders:
+        p_blk += pairs[ab] * q3[c]
+    x_blk = np.zeros((len(wr2), gamma.shape[1], len(l1)))
     s = _slab_points(len(l1))
     for s0 in range(0, tables.n_radial, s):
         _slab_accumulate(x_blk, tables.q_tilde[:, s0:s0 + s],
@@ -172,6 +175,10 @@ def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
 def _sweep(start, stop, tables, mapping, wr2, domain, h2_mode, block):
     """Triples [start, stop) of the domain, accumulated block by block into
     K matrices."""
+    p = tables.p_max
+    # per ordering, the pair-product rows of its first two factors and the
+    # rows of its third
+    orders = [(idx // p, idx % p) for idx in _ordering_index(mapping, p)]
     gamma = np.zeros((len(wr2), mapping.n_max, mapping.n_max))
     for b0 in range(start, stop, block):
         b1 = min(b0 + block, stop)
@@ -181,7 +188,7 @@ def _sweep(start, stop, tables, mapping, wr2, domain, h2_mode, block):
         mult = permutation_multiplicity(l1, l2, l3)
         zm = geometric_prefactor(l1, l2, l3, tables.C, tables.v,
                                  tables.l_min, h2_mode) * mult
-        _block_accumulate(gamma, tables, mapping, wr2, l1, l2, l3, zm)
+        _block_accumulate(gamma, tables, orders, wr2, l1, l2, l3, zm)
     return gamma
 
 
@@ -228,10 +235,8 @@ def gamma3d_matrices(tables: BasisTables, mapping: ModeMapping,
     meta = _base_meta(tables, grid, mapping, "modal3d", None,
                       {"h2_mode": h2_mode, "block": int(block),
                        "workers": int(workers)})
-    b = min(block, domain.count)
-    _check_budget(f"a block of {b} triples needs",
-                  _block_bytes(tables.p_max, mapping.n_max, tables.n_radial,
-                               b, len(wr2)))
+    _check_block_budget(tables.p_max, mapping.n_max, tables.n_radial,
+                        min(block, domain.count), len(wr2))
     _check_accumulator_budget(mapping.n_max, len(wr2), workers)
     # chunks of whole blocks: a block's triples do not depend on workers;
     # no worker is forked for an empty chunk, and an empty domain sweeps

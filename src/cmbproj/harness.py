@@ -31,10 +31,10 @@ from .basis import (_check_mapping_budget, _check_table_budget,
 from .engine2d import (_check_ptable_budget, _check_sweep_budget,
                        default_mu_points, gamma2d_matrix)
 from .engine3d import (DEFAULT_BLOCK, _check_accumulator_budget,
-                       gamma3d_matrices, gamma3d_matrix)
+                       _check_block_budget, gamma3d_matrices, gamma3d_matrix)
 from .gamma import GammaMatrix
-from .geometry import (H2_MODES, _check_domain_budget, enumerate_domain,
-                       h2_exact, h2_gosper)
+from .geometry import (H2_MODES, _check_domain_budget, _triple_count,
+                       enumerate_domain, h2_exact, h2_gosper)
 from .quadrature import INTEGRATORS, gauss_legendre, legendre_table
 
 __all__ = [
@@ -200,10 +200,12 @@ def _problem(config: RunConfig, mode: str, radii: tuple):
         _check_ptable_budget(p, l_max - l_min + 1, config.r_samples, l_max,
                              n_mu)
     if direct:
-        _check_accumulator_budget(
-            n_max, len(INTEGRATOR_NAMES) if mode == "convergence" else 1,
-            config.workers)
-        if (l_min, l_max) not in _MEMOS["domain"]:
+        k = len(INTEGRATOR_NAMES) if mode == "convergence" else 1
+        domain = _MEMOS["domain"].get((l_min, l_max))
+        count = _triple_count(l_min, l_max) if domain is None else len(domain)
+        _check_block_budget(p, n_max, max(radii), min(config.block, count), k)
+        _check_accumulator_budget(n_max, k, config.workers)
+        if domain is None:
             _check_domain_budget(l_min, l_max)
     if mapping is None:
         mapping = _input("mapping", (p,), _default_mapping)

@@ -58,8 +58,9 @@ class TestDefaultModeMapping:
             raise AssertionError("the mapping was built")
         monkeypatch.setattr(basis, "ModeMapping", refuse)
         monkeypatch.setattr("cmbproj.gamma.MEMORY_BUDGET", 1024)
+        # 64 bytes per entry and 16 KiB for the sort's buffers
         with pytest.raises(MemoryError, match="a mode mapping of 10 entries "
-                                              "needs 5120 bytes"):
+                                              "needs 17024 bytes"):
             cp.default_mode_mapping(3)
 
 
@@ -95,6 +96,24 @@ class TestMappingFile:
         path = tmp_path / "map.txt"
         path.write_text("modalmap v1 p_max=2 n_max=1\n0 0 0 2\n")
         with pytest.raises(MappingFormatError, match="range.*line 2"):
+            cp.load_mode_mapping(path)
+
+    @pytest.mark.parametrize("records,message", [
+        # a blank line before the bad record still counts
+        ("0 0 0 0\n\n1 0 1 0\n", "unordered triple at line 4"),
+        ("0 0 0 1\n\n\n1 0 0 1\n", "duplicate triple at line 5"),
+        ("\n0 0 0 2\n1 0 0 0\n", "out of range .* at line 3"),
+        # of two bad records, the first is named, whatever its fault
+        ("0 0 0 0\n1 0 1 0\n2 0 0 0\n", "unordered triple at line 3"),
+        ("0 0 0 0\n1 0 0 0\n2 1 0 0\n", "duplicate triple at line 3"),
+        ("0 0 0 0\n1 0 0 5\n2 1 0 0\n", "out of range .* at line 3"),
+        ("0 0 1 0\n1 0 zero 0\n", "unordered triple at line 2"),
+        ("0 0 0 0\n2 0 0 1\n2 1 0 0\n", "not ascending at line 3"),
+    ])
+    def test_names_the_first_bad_line(self, tmp_path, records, message):
+        path = tmp_path / "map.txt"
+        path.write_text("modalmap v1 p_max=2 n_max=3\n" + records)
+        with pytest.raises(MappingFormatError, match=message):
             cp.load_mode_mapping(path)
 
     def test_malformed_record(self, tmp_path):

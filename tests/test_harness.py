@@ -833,6 +833,10 @@ class TestCli:
         # the P table's set-up takes 2.19 GB; the tables, 122 MB, fit
         (["--mode", "gamma2d", "--lmax", "1000", "--pmax", "8",
           "--r-samples", "1700"], "P table, its build and the Legendre"),
+        # a block of 100000 triples takes 4.55 GB; the tables, 143 MB, fit
+        (["--mode", "gamma3d", "--lmax", "200", "--pmax", "4",
+          "--r-samples", "20000", "--block", "100000"],
+         "a block of 100000 triples needs 4553600000 bytes"),
     ])
     def test_refused_before_grid_and_tables(self, args, message, capsys,
                                             monkeypatch):
@@ -844,8 +848,9 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("args,message", [
-        # 4960 modes: [n_max, p^3] arrays of 1.07 GB each
-        (["--mode", "gamma2d", "--pmax", "30", "--lmax", "8",
+        # 5984 modes: T [n_max, p^3] takes 1.57 GB, and three
+        # [n_max, n_max] arrays 0.86 GB
+        (["--mode", "gamma2d", "--pmax", "32", "--lmax", "8",
           "--r-samples", "12"], "separable sweep's mode-space arrays need"),
         # 19600 modes: a 3.1 GB accumulator
         (["--mode", "gamma3d", "--pmax", "48", "--lmax", "8",

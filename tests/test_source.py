@@ -1,6 +1,7 @@
 """Checks on the source and the documentation as text: every parameter
-is read, only ``gamma`` reads the memory budget, and README's command
-line section names exactly the options of the parser."""
+is read, only ``gamma`` reads the memory budget, the harness counts every
+budget the engines check, and README's command line section names
+exactly the options of the parser."""
 
 import ast
 import re
@@ -60,6 +61,46 @@ def test_only_gamma_reads_the_memory_budget():
                     and node.name == "MEMORY_BUDGET"):
                 readers.add(path.name)
     assert readers == {"gamma.py"}
+
+
+BUDGET = re.compile(r"_check_\w+_budget|_block_bytes")
+
+
+def _called_budgets(tree):
+    """Budget formulas that the public functions and the methods of a
+    module call directly."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bodies = node.body
+        elif (isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")):
+            bodies = [node]
+        else:
+            continue
+        names |= {call.func.id for body in bodies for call in ast.walk(body)
+                  if isinstance(call, ast.Call)
+                  and isinstance(call.func, ast.Name)
+                  and BUDGET.fullmatch(call.func.id)}
+    return names
+
+
+def test_harness_counts_every_engine_budget():
+    # a run is refused before it builds anything only if the harness
+    # checks every budget an engine or constructor would refuse it by
+    root = ROOT / "src" / "cmbproj"
+    called = set()
+    for name in ("basis", "geometry", "engine2d", "engine3d"):
+        called |= _called_budgets(
+            ast.parse((root / f"{name}.py").read_text(encoding="utf-8")))
+    harness = ast.parse((root / "harness.py").read_text(encoding="utf-8"))
+    problem = next(node for node in ast.walk(harness)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_problem")
+    referenced = {node.id for node in ast.walk(problem)
+                  if isinstance(node, ast.Name)}
+    assert len(called) >= 7
+    assert called - referenced == set()
 
 
 def _readme_section(title):
