@@ -86,6 +86,8 @@ class ModeMapping:
         object.__setattr__(self, "entries", e)
         if len(e) == 0:
             raise ValueError("mode mapping must contain at least one entry")
+        if self.p_max >= 1 << 63:
+            raise ValueError("p_max must fit in int64")
         unordered, out_of_range, repeat = _mapping_faults(e, self.p_max)
         if out_of_range < len(e):
             raise ValueError("mapping indices must lie in [0, p_max)")
@@ -174,6 +176,8 @@ def load_mode_mapping(path) -> ModeMapping:
         n_max = int(header[3][6:])
     except ValueError as exc:
         raise MappingFormatError(f"bad header line: {lines[0]!r}") from exc
+    if p_max >= 1 << 63:    # past int64
+        raise MappingFormatError(f"bad header line: {lines[0]!r}")
 
     # records up to the first malformed one; an earlier bad triple goes first
     entries, linenos, error = [], [], None

@@ -7,9 +7,9 @@ radial point, quadrature node) and sweeps the rows of the mapping by
 their (i, j) pair: over fixed slabs of radial points, each pair's
 factor P[i,b1] P[j,b2] is contracted with the weighted P[k,b3] of every
 k that pair has, summing r and mu together in one GEMM over a folded
-(r, mu) axis, into T[n, b].  The six-term permanent of each entry is
-then Gamma[n, n'] = sum_s T[n, idx[s, n']] / 48 pi over the orderings'
-flat indices ``basis._ordering_index``.  This is the one table path;
+(r, mu) axis, into the pair's t[n, b], whose rows are then finished as
+Gamma[n, n'] = sum_s t[n, idx[s, n']] / 48 pi, the six-term permanent
+over the orderings ``basis._ordering_index``.  This is the one table path;
 ``scheduler.run_chunks`` runs its groups, split among the workers by
 their row counts.  The naive path recomputes the multipole sums per
 entry, exactly like the original hotspot, and is kept permanently as its
@@ -69,19 +69,18 @@ def _check_ptable_budget(p: int, n_l: int, n_r: int, l_max: int,
 def _check_sweep_budget(p: int, n_max: int, n_r: int, n_mu: int,
                         workers: int) -> int:
     """A bound on the peak bytes of ``gamma2d_matrix``'s mode-space
-    arrays, sized with tracemalloc: the sweep's rows T [n_max, p^3], and
-    three more across a pool (the workers' rows, their pickles and the
-    one being read); three [n_max, n_max] arrays (the matrix, a sum of
-    gathered orderings and the next) and the matrix's finiteness mask;
-    256 bytes of row groups per mode; and per worker one slab's pair
-    products and weighted rows [p^2, c], c = min(R, _FOLD // n_mu) n_mu.
-    Over ``MEMORY_BUDGET`` is refused."""
-    rows = 4 if workers > 1 else 1
+    arrays, sized with tracemalloc: the finished rows [n_max, n_max], and
+    either the matrix they are placed in (or the pickles a pool's rows
+    arrive in) or the sweep's arrays, never held at once: one group's
+    accumulator, its reordered copy and gathered orderings, 2 p^4 +
+    7 p n_max words at most, and per worker one slab's pair products and
+    weighted rows [p^2, c], c = min(R, _FOLD // n_mu) n_mu; and 256 bytes
+    of row groups per mode.  Over ``MEMORY_BUDGET`` is refused."""
     cols = min(n_r, max(1, _FOLD // n_mu)) * n_mu
+    sweep = 2 * p**4 + 7 * p * n_max + 2 * workers * p * p * cols
     return _check_budget(
         "the separable sweep's mode-space arrays need",
-        8 * (rows * n_max * p**3 + 3 * n_max**2 + 2 * workers * p * p * cols)
-        + n_max**2 + 256 * n_max)
+        8 * (n_max**2 + max(n_max**2, sweep)) + 256 * n_max)
 
 
 def build_ptable(tables: BasisTables, rule: QuadratureRule,
@@ -158,16 +157,17 @@ def _pair_groups(mapping: ModeMapping):
                  for (i, j), (rows, ks) in groups.items())
 
 
-def _sweep(groups, pv, w):
-    """Rows of T for some (i, j) groups, in group order, from the P table
-    ``pv`` and the folded weights ``w``.  Per radial slab, one GEMM per
-    group contracts P[i,b1] P[j,b2] over the folded (r, mu) axis with the
-    weighted rows w P[k,b3] of every k the group has; a group's slabs are
-    summed in its own small accumulator before it fills the group's rows.
-    A group's operations are the same in any chunk."""
+def _sweep(groups, pv, w, idx):
+    """Finished rows of Gamma for some (i, j) groups, in group order, from
+    the P table ``pv``, folded weights ``w`` and ordering table ``idx``.
+    Per radial slab, one GEMM per group contracts P[i,b1] P[j,b2] over the
+    folded (r, mu) axis with the weighted rows w P[k,b3] of every k the
+    group has, into its own small accumulator, whose rows are symmetrised
+    once its slabs are summed.  A group's operations are the same in any
+    chunk."""
     p, _, n_r, n_mu = pv.shape
     step = max(1, _FOLD // n_mu)
-    t = np.empty((sum(len(ks) for _, _, _, ks in groups), p**3))
+    rows = np.empty((sum(len(ks) for _, _, _, ks in groups), idx.shape[1]))
     start = 0
     for i, j, _, ks in groups:
         acc = np.zeros((p * p, len(ks) * p))
@@ -177,16 +177,16 @@ def _sweep(groups, pv, w):
             right = f[list(ks)]
             right *= w[x0 * n_mu:(x0 + step) * n_mu]
             acc += left @ right.reshape(-1, f.shape[-1]).T
-        t[start:start + len(ks)] = acc.reshape(p, p, -1, p).transpose(
-            2, 0, 1, 3).reshape(-1, p**3)
+        t = acc.reshape(p, p, -1, p).transpose(2, 0, 1, 3).reshape(-1, p**3)
+        rows[start:start + len(ks)] = t[:, idx].sum(axis=1) / (48.0 * np.pi)
         start += len(ks)
-    return t
+    return rows
 
 
 def _cells_chunk(groups):
-    """Chunk entry point: ``_sweep`` over ``groups`` with the P table and
-    folded weights ``run_chunks`` shares.  ``perfbench/tracing.py`` wraps
-    it by name."""
+    """Chunk entry point: ``_sweep`` over ``groups`` with the P table,
+    folded weights and ordering table ``run_chunks`` shares.
+    ``perfbench/tracing.py`` wraps it by name."""
     return _sweep(groups, *chunk_inputs())
 
 
@@ -198,12 +198,12 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     (i, j) groups of the mapping, split among the workers by their row
     counts.
 
-    One folded (r, mu) GEMM per group and radial slab, with the columns
-    symmetrised once by the ordering table (see the module docstring).
-    Every row is computed by the same operations in any chunk, so the
-    result is bitwise identical for any worker count.  Mode-space arrays
-    (``_check_sweep_budget``) that would exceed ``MEMORY_BUDGET`` are
-    refused before the P table is built.
+    One folded (r, mu) GEMM per group and radial slab, and its rows
+    finished in the same sweep (see the module docstring); this places
+    them, dropping each chunk once placed.  Every row is computed by the
+    same operations in any chunk, so the result is bitwise identical for
+    any worker count.  Mode-space arrays (``_check_sweep_budget``) that
+    would exceed ``MEMORY_BUDGET`` are refused before the P table is built.
     """
     _check_sweep_budget(tables.p_max, mapping.n_max, tables.n_radial,
                         rule.n, workers)
@@ -216,12 +216,12 @@ def gamma2d_matrix(tables: BasisTables, mapping: ModeMapping,
     jobs = [groups[start:stop]
             for start, stop in make_weighted_plan(sizes, workers)
             if start < stop]
-    chunks = run_chunks(get_context, _cells_chunk, jobs, (ptable, weights))
     idx = _ordering_index(mapping, tables.p_max)
+    chunks = run_chunks(get_context, _cells_chunk, jobs,
+                        (ptable, weights, idx))
     values = np.empty((mapping.n_max, mapping.n_max))
-    for job, t in zip(jobs, chunks):
-        values[[row for _, _, rows, _ in job for row in rows]] = sum(
-            t[:, cols] for cols in idx) / (48.0 * np.pi)
+    for job in jobs:
+        values[[row for _, _, rows, _ in job for row in rows]] = chunks.pop(0)
     meta = _base_meta(tables, grid, mapping, "modal2d", integrator,
                       {"n_mu": int(rule.n), "workers": int(workers)})
     return GammaMatrix(values, meta)

@@ -278,8 +278,8 @@ _BIN_HEADER = struct.Struct("<4sIIII")  # magic, version, rows, cols, meta size
 
 def _write_atomic(path, write, binary: bool = False) -> None:
     """Call ``write(f)`` on a temporary file in the target directory, then
-    rename it over ``path``: a failed write leaves any earlier file intact
-    and removes the temporary."""
+    rename it over ``path``: a failed write leaves any earlier file intact,
+    removes the temporary and raises an OSError that names ``path``."""
     path = os.fspath(path)
     mode, encoding = ("wb", None) if binary else ("w", "utf-8")
     if os.path.exists(path) and not os.path.isfile(path):
@@ -292,10 +292,13 @@ def _write_atomic(path, write, binary: bool = False) -> None:
         with open(tmp, mode, encoding=encoding) as f:
             write(f)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        if exc.filename == tmp:    # name the file asked for
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def serialize_gamma(gamma: GammaMatrix, path, fmt: str = "csv") -> None:

@@ -44,10 +44,12 @@ def h2_oracle(l1, l2, l3):
 
 class RecordingContext:
     """Stand-in for an engine's ``get_context``: a real pool whose ``map``
-    appends every job to ``jobs`` first."""
+    appends every job to ``jobs`` first and every result to ``results``
+    after."""
 
     def __init__(self, jobs):
         self.jobs = jobs
+        self.results = []
 
     def __call__(self, method):
         self.ctx = multiprocessing.get_context(method)
@@ -59,7 +61,9 @@ class RecordingContext:
 
         def map(fn, jobs):
             self.jobs.extend(jobs)
-            return real_map(fn, jobs)
+            results = real_map(fn, jobs)
+            self.results.extend(results)
+            return results
         pool.map = map
         return pool
 

@@ -41,6 +41,13 @@ class TestDefaultModeMapping:
         with pytest.raises(ValueError):
             cp.default_mode_mapping(0)
 
+    def test_rejects_pmax_past_int64(self):
+        # its fingerprint packs p_max as an int64
+        with pytest.raises(ValueError, match="p_max must fit in int64"):
+            cp.ModeMapping(np.array([[0, 0, 1]]), 2**70)
+        assert cp.ModeMapping(np.array([[0, 0, 1]]),
+                              2**63 - 1).fingerprint()
+
     @pytest.mark.parametrize("p_max", [20, 40, 80])
     def test_budget_counts_the_peak(self, p_max):
         tracemalloc.start()
@@ -126,6 +133,13 @@ class TestMappingFile:
         path = tmp_path / "map.txt"
         path.write_text("mappingfile v2\n")
         with pytest.raises(MappingFormatError, match="header"):
+            cp.load_mode_mapping(path)
+
+    def test_header_pmax_past_int64(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("modalmap v1 p_max=100000000000000000000000 "
+                        "n_max=1\n0 0 0 1\n")
+        with pytest.raises(MappingFormatError, match="bad header line"):
             cp.load_mode_mapping(path)
 
     def test_no_entries(self, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import pickle
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import cmbproj as cp
+from cmbproj.basis import _ordering_index
 from cmbproj.engine2d import (_check_ptable_budget, _check_sweep_budget,
                               _l_weight, _pair_groups, _permanent3, _sweep,
                               default_mu_points)
@@ -117,7 +119,7 @@ class TestSweepBudget:
     @pytest.mark.parametrize("p_max", [12, 16, 20])
     def test_counts_bound_the_peak(self, p_max):
         # with the P-table count, the sweep's count bounds a whole matrix;
-        # at p 20 the P-table count alone was 0.85 MB of a 318 MB peak
+        # at p 20 the P-table count alone is 0.85 MB of a 38.7 MB peak
         pr = Problem(2, 8, p_max, 12)
         tracemalloc.start()
         try:
@@ -145,11 +147,39 @@ class TestSweepBudget:
             cp.gamma2d_matrix(desk.tables, desk.mapping, desk.grid,
                               desk.rule, desk.legendre)
 
+    @pytest.mark.parametrize("p_max", [16, 20])
+    def test_counts_bound_the_pool_parent_peak(self, p_max):
+        # the parent reads the workers' rows and places them; a first pool
+        # loads multiprocessing's modules, which are no mode-space array
+        small = Problem(2, 8, 2, 12)
+        cp.gamma2d_matrix(small.tables, small.mapping, small.grid,
+                          small.rule, small.legendre, workers=2)
+        pr = Problem(2, 8, p_max, 12)
+        tracemalloc.start()
+        try:
+            cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
+                              pr.legendre, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = (_check_sweep_budget(p_max, pr.mapping.n_max, 12, pr.rule.n,
+                                     2)
+                 + _check_ptable_budget(p_max, 7, 12, 8, pr.rule.n))
+        assert peak <= count
+
+    def test_pmax_ceiling(self):
+        # two [n_max, n_max] arrays of 8 bytes fit 2 GiB up to p_max 40
+        n_mu = default_mu_points(8)
+        assert _check_sweep_budget(40, math.comb(42, 3), 12, n_mu, 2)
+        with pytest.raises(MemoryError):
+            _check_sweep_budget(41, math.comb(43, 3), 12, n_mu, 1)
+
     def test_pool_counts_its_workers(self):
-        # three more [n_max, p^3] arrays and one more slab per worker
+        # at n_max 20 the sweep's working arrays outgrow the [n_max, n_max]
+        # matrix; each worker adds one slab, c = 61 * 50 folded points
         one = _check_sweep_budget(4, 20, 216, 50, 1)
         two = _check_sweep_budget(4, 20, 216, 50, 2)
-        assert two - one == 8 * (3 * 20 * 4**3 + 2 * 16 * 3050)
+        assert two - one == 8 * 2 * 16 * 3050
 
 
 class TestMatrix:
@@ -273,7 +303,8 @@ class TestRowSweep:
             pt = cp.build_ptable(pr.tables, pr.rule, pr.legendre)
             wr2 = cp.integration_weights(pr.grid.r, "spline") * pr.grid.r**2
             job = (_pair_groups(pr.mapping), pt,
-                   np.outer(wr2, pr.rule.weights).ravel())
+                   np.outer(wr2, pr.rule.weights).ravel(),
+                   _ordering_index(pr.mapping, pr.p_max))
             tracemalloc.start()
             try:
                 _sweep(*job)
@@ -334,6 +365,22 @@ class TestPairGroups:
         assert len(jobs) == 2
         assert max(len(pickle.dumps(job)) for job in jobs) < 4096
         assert np.array_equal(single.values, multi.values)
+
+    def test_pool_results_are_finished_rows(self, monkeypatch):
+        # each worker sends back its groups' rows of the matrix; the
+        # [rows, p^3] sweep of the orderings outgrew the whole matrix
+        import cmbproj.engine2d as e2
+        pr = Problem(l_min=2, l_max=8, p_max=6, n_r=30)
+        ctx = RecordingContext([])
+        monkeypatch.setattr(e2, "get_context", ctx)
+        gamma = cp.gamma2d_matrix(pr.tables, pr.mapping, pr.grid, pr.rule,
+                                  pr.legendre, workers=2)
+        n_max = pr.mapping.n_max
+        assert [r.shape for r in ctx.results] == [
+            (sum(len(g[2]) for g in job), n_max) for job in ctx.jobs]
+        assert len(ctx.results) == 2
+        assert all(len(pickle.dumps(r)) < gamma.values.nbytes
+                   for r in ctx.results)
 
     @pytest.mark.parametrize("p_max", [4, 6])
     def test_pool_shares_balanced_by_rows(self, p_max, monkeypatch):

@@ -225,6 +225,18 @@ class TestSerialization:
         assert path.read_text() == "earlier\n"
         assert os.listdir(tmp_path) == ["out.csv"]
 
+    def test_failed_rename_names_the_target(self, tmp_path, matrix,
+                                            monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", src, dst)
+        monkeypatch.setattr("cmbproj.harness.os.replace", refuse)
+        path = tmp_path / "out.csv"
+        with pytest.raises(PermissionError) as info:
+            cp.serialize_gamma(matrix, path, "csv")
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+        assert os.listdir(tmp_path) == []
+
     def test_write_to_pipe_in_place(self, tmp_path, matrix):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
@@ -774,6 +786,14 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_failed_out_write_names_the_out_file(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert cli_main(["--mode", "gamma3d", "--lmax", "4", "--pmax", "1",
+                         "--r-samples", "12", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "x.csv'" in err
+        assert ".tmp" not in err
+
     def test_missing_config_file_exit_4(self, capsys):
         assert cli_main(["--config", "/nonexistent/run.cfg"]) == 4
         assert "i/o error" in capsys.readouterr().err
@@ -848,9 +868,9 @@ class TestCli:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("args,message", [
-        # 5984 modes: T [n_max, p^3] takes 1.57 GB, and three
-        # [n_max, n_max] arrays 0.86 GB
-        (["--mode", "gamma2d", "--pmax", "32", "--lmax", "8",
+        # 12341 modes: the finished rows and the matrix [n_max, n_max]
+        # take 1.22 GB each; p_max 40's 11480 modes fit
+        (["--mode", "gamma2d", "--pmax", "41", "--lmax", "8",
           "--r-samples", "12"], "separable sweep's mode-space arrays need"),
         # 19600 modes: a 3.1 GB accumulator
         (["--mode", "gamma3d", "--pmax", "48", "--lmax", "8",
