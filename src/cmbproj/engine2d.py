@@ -73,11 +73,14 @@ def _check_sweep_budget(p: int, n_max: int, n_r: int, n_mu: int,
     either the matrix they are placed in (or the pickles a pool's rows
     arrive in) or the sweep's arrays, never held at once: one group's
     accumulator, its reordered copy and gathered orderings, 2 p^4 +
-    7 p n_max words at most, and per worker one slab's pair products and
-    weighted rows [p^2, c], c = min(R, _FOLD // n_mu) n_mu; and 256 bytes
-    of row groups per mode.  Over ``MEMORY_BUDGET`` is refused."""
+    7 p n_max words at most, per worker one slab's pair products and
+    weighted rows [p^2, c], c = min(R, _FOLD // n_mu) n_mu, and the
+    buffer numpy's ufuncs take to weight the rows, ``np.getbufsize()``
+    words at most; and 256 bytes of row groups per mode.  Over
+    ``MEMORY_BUDGET`` is refused."""
     cols = min(n_r, max(1, _FOLD // n_mu)) * n_mu
-    sweep = 2 * p**4 + 7 * p * n_max + 2 * workers * p * p * cols
+    sweep = (2 * p**4 + 7 * p * n_max + 2 * workers * p * p * cols
+             + np.getbufsize())
     return _check_budget(
         "the separable sweep's mode-space arrays need",
         8 * (n_max**2 + max(n_max**2, sweep)) + 256 * n_max)
@@ -177,6 +180,7 @@ def _sweep(groups, pv, w, idx):
             right = f[list(ks)]
             right *= w[x0 * n_mu:(x0 + step) * n_mu]
             acc += left @ right.reshape(-1, f.shape[-1]).T
+            del left, right     # else they are live while the next are made
         t = acc.reshape(p, p, -1, p).transpose(2, 0, 1, 3).reshape(-1, p**3)
         rows[start:start + len(ks)] = t[:, idx].sum(axis=1) / (48.0 * np.pi)
         start += len(ks)

@@ -7,13 +7,16 @@ primordial product x(n').  The optimized sweep processes blocks of B
 consecutive flattened triples, filling a late-time factor block P and a
 primordial factor block X (multiplicity and z folded into X) and
 accumulating the matrix as P X^T -- the blocked two-matrix reduction.
-X is summed over slabs of ``_SLAB`` radial points (more for a block of
-fewer than ``_SLAB`` triples, see ``_slab_points``): per slab the p^2
-products of the first two multipoles' q_tilde rows are formed once, and
-each ordering gathers them and multiplies by the third, so a block's
-arrays stay bounded however large R is.  The matrix is linear in the
-radial weights w_r r^2, so one sweep takes K integrators' weights as a
-[K, R] stack and fills K matrices from the same primordial products.
+One routine, ``_symmetrised``, forms both: a weighted radial sum of the
+triple products symmetrised over the orderings, where P is q taken as
+one radial point of weight 1, and X is summed over slabs of q_tilde of
+``_SLAB`` radial points (more for a block of fewer than ``_SLAB``
+triples, see ``_slab_points``).  Per slab the p^2 products of the first
+two multipoles' rows are formed once, and each ordering gathers them
+and multiplies by the third, so a block's arrays stay bounded however
+large R is.  The matrix is linear in the radial weights w_r r^2, so one
+sweep takes K integrators' weights as a [K, R] stack and fills K
+matrices from the same primordial products.
 Each worker sweeps one contiguous chunk of whole triple blocks into its
 own matrices, and the parent sums these in worker order;
 ``scheduler.run_chunks`` runs the chunks and shares the other inputs
@@ -90,8 +93,8 @@ def _slab_points(b: int) -> int:
 
 
 def _block_bytes(p: int, n_max: int, n_radial: int, b: int, k: int) -> int:
-    """Upper bound of the bytes ``_block_accumulate`` holds at once for a
-    block of at most b triples and k radial weight rows.  Per slab of
+    """Upper bound of the bytes ``_sweep`` holds at once for one block of
+    at most b triples and k radial weight rows.  Per slab of
     c <= max(_SLAB b, _SLAB^2) (point, triple) cells, and c <= R b: the
     q_tilde gathers of the three multipoles [p, c], the pair products
     [p^2, c], and f, a gathered product and a q_tilde gather [n_max, c]
@@ -118,68 +121,42 @@ def _check_accumulator_budget(n_max: int, k: int, workers: int) -> int:
                          8 * sets * k * n_max**2 + n_max**2)
 
 
-def _slab_accumulate(x_blk: np.ndarray, qt: np.ndarray, w: np.ndarray,
-                     i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
-                     orders: list) -> None:
-    """x_blk[k] += the radial sum, with the weights w[k] [S], of the
-    symmetrised primordial products over one slab of S radial points;
-    ``qt`` is the slab's q_tilde [p, S, L].  Its arrays are freed on
-    return, so no two slabs' arrays are live at once."""
-    p = len(qt)
-    qt3 = qt[:, :, i3]                       # [p, S, B]
-    # pairs[i p + j] = q~_i(l1) q~_j(l2)
-    pairs = (qt[:, :, i1][:, None] * qt[:, :, i2]).reshape(
-        p * p, *qt3.shape[1:])
-    f = np.zeros((x_blk.shape[1],) + qt3.shape[1:])   # [n_max, S, B]
+def _symmetrised(out: np.ndarray, rows: np.ndarray, w: np.ndarray,
+                 i1: np.ndarray, i2: np.ndarray, i3: np.ndarray,
+                 orders: list) -> None:
+    """out[k, n, t] += sum_r w[k, r] sum_sigma rows[a, r, i1[t]]
+    rows[b, r, i2[t]] rows[c, r, i3[t]], with (a, b, c) mode n's triple in
+    ordering sigma, given by the ``orders`` of ``_sweep`` as index rows
+    (a p + b, c).  ``rows`` [p, S, L] is one slab of q_tilde, or q as a
+    single point ``q[:, None]`` with ``w`` = [[1]], which gives the late
+    products exactly.  Its arrays are freed on return, so no two slabs'
+    arrays are live at once."""
+    p = len(rows)
+    r3 = rows[:, :, i3]                      # [p, S, B]
+    # pairs[i p + j] = rows_i(l1) rows_j(l2)
+    pairs = (rows[:, :, i1][:, None] * rows[:, :, i2]).reshape(
+        p * p, *r3.shape[1:])
+    f = np.zeros((out.shape[1],) + r3.shape[1:])   # [n_max, S, B]
     for ab, c in orders:
         term = pairs[ab]
-        term *= qt3[c]
+        term *= r3[c]
         f += term
-    for x, wk in zip(x_blk, w):
+    for x, wk in zip(out, w):
         x += np.einsum("r,nrb->nb", wk, f)
-
-
-def _block_accumulate(gamma: np.ndarray, tables: BasisTables,
-                      orders: list, wr2: np.ndarray,
-                      l1: np.ndarray, l2: np.ndarray, l3: np.ndarray,
-                      zm: np.ndarray) -> None:
-    """Accumulate one triple block: gamma[k] += P X_k^T for each of the K
-    rows of the radial weights ``wr2`` [K, R].
-
-    P[n, t] is the symmetrised late product, X_k[n', t] the symmetrised
-    primordial product integrated with weights k and scaled by zm
-    (prefactor times permutation multiplicity), both summed over the
-    ``orders`` of ``_sweep``.  X is summed over slabs of
-    ``_slab_points(B)`` radial points, so the block's arrays stay bounded
-    however large R is.
-    """
-    i1 = l1 - tables.l_min
-    i2 = l2 - tables.l_min
-    i3 = l3 - tables.l_min
-    q = tables.q
-    pairs = (q[:, i1][:, None] * q[:, i2]).reshape(-1, len(l1))   # [p^2, B]
-    q3 = q[:, i3]
-    p_blk = np.zeros((gamma.shape[1], len(l1)))
-    for ab, c in orders:
-        p_blk += pairs[ab] * q3[c]
-    x_blk = np.zeros((len(wr2), gamma.shape[1], len(l1)))
-    s = _slab_points(len(l1))
-    for s0 in range(0, tables.n_radial, s):
-        _slab_accumulate(x_blk, tables.q_tilde[:, s0:s0 + s],
-                         wr2[:, s0:s0 + s], i1, i2, i3, orders)
-    x_blk *= zm
-    for g, x in zip(gamma, x_blk):
-        g += p_blk @ x.T
 
 
 def _sweep(start, stop, tables, mapping, wr2, domain, h2_mode, block):
     """Triples [start, stop) of the domain, accumulated block by block into
-    K matrices."""
+    K matrices: gamma[k] += P X_k^T per block, with the late products P
+    and the primordial products X_k, integrated with the weights ``wr2[k]``
+    over slabs of ``_slab_points(B)`` radial points and scaled by the
+    prefactor times the permutation multiplicity."""
     p = tables.p_max
     # per ordering, the pair-product rows of its first two factors and the
     # rows of its third
     orders = [(idx // p, idx % p) for idx in _ordering_index(mapping, p)]
     gamma = np.zeros((len(wr2), mapping.n_max, mapping.n_max))
+    q, one = tables.q[:, None], np.ones((1, 1))
     for b0 in range(start, stop, block):
         b1 = min(b0 + block, stop)
         l1 = domain.l1[b0:b1]
@@ -188,7 +165,19 @@ def _sweep(start, stop, tables, mapping, wr2, domain, h2_mode, block):
         mult = permutation_multiplicity(l1, l2, l3)
         zm = geometric_prefactor(l1, l2, l3, tables.C, tables.v,
                                  tables.l_min, h2_mode) * mult
-        _block_accumulate(gamma, tables, orders, wr2, l1, l2, l3, zm)
+        i1 = l1 - tables.l_min
+        i2 = l2 - tables.l_min
+        i3 = l3 - tables.l_min
+        p_blk = np.zeros((1, mapping.n_max, b1 - b0))
+        _symmetrised(p_blk, q, one, i1, i2, i3, orders)
+        x_blk = np.zeros((len(wr2), mapping.n_max, b1 - b0))
+        s = _slab_points(b1 - b0)
+        for s0 in range(0, tables.n_radial, s):
+            _symmetrised(x_blk, tables.q_tilde[:, s0:s0 + s],
+                         wr2[:, s0:s0 + s], i1, i2, i3, orders)
+        x_blk *= zm
+        for g, x in zip(gamma, x_blk):
+            g += p_blk[0] @ x.T
     return gamma
 
 

@@ -15,7 +15,9 @@ MEMORY_BUDGET = 2 << 30
 
 
 def _check_budget(what: str, need: int) -> int:
-    """``need``, the bytes that ``what`` needs: refused over the budget."""
+    """``need``, the bytes that ``what`` needs: refused over the budget.
+    Each count is compared with the budget on its own; no caller sums
+    the counts of arrays that are held together."""
     if need > MEMORY_BUDGET:
         raise MemoryError(f"{what} {need} bytes but the budget allows "
                           f"{MEMORY_BUDGET}")

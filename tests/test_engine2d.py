@@ -133,6 +133,27 @@ class TestSweepBudget:
                  + _check_ptable_budget(p_max, 7, 12, 8, pr.rule.n))
         assert peak <= count < 1.1 * peak
 
+    @pytest.mark.parametrize("p_max,l_max,n_r", [(12, 8, 1768),
+                                                 (20, 8, 1768),
+                                                 (4, 40, 216)])
+    def test_counts_bound_the_sweep_alone(self, p_max, l_max, n_r):
+        # R spans several slabs; one slab's rows must be freed before the
+        # next are made
+        pr = Problem(2, l_max, p_max, n_r)
+        pt = cp.build_ptable(pr.tables, pr.rule, pr.legendre)
+        wr2 = cp.integration_weights(pr.grid.r, "trap") * pr.grid.r**2
+        job = (_pair_groups(pr.mapping), pt,
+               np.outer(wr2, pr.rule.weights).ravel(),
+               _ordering_index(pr.mapping, p_max))
+        tracemalloc.start()
+        try:
+            _sweep(*job)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _check_sweep_budget(p_max, pr.mapping.n_max, n_r,
+                                           pr.rule.n, 1)
+
     def test_refused_before_the_p_table(self, desk, monkeypatch):
         import cmbproj.engine2d as e2
         def refuse(*args):

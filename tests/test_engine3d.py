@@ -50,6 +50,50 @@ class TestFactors:
         assert a == pytest.approx(b, rel=1e-13)
 
 
+class TestSymmetrised:
+    """The one routine that forms both factors of a block, against the
+    per-triple oracles on the first block of the desk domain."""
+
+    @pytest.fixture(scope="class")
+    def block(self, desk):
+        import cmbproj.engine3d as e3
+        from cmbproj.basis import _ordering_index
+        domain = cp.enumerate_domain(desk.l_min, desk.l_max)
+        ls = [l[:e3.DEFAULT_BLOCK] for l in (domain.l1, domain.l2,
+                                             domain.l3)]
+        p = desk.p_max
+        orders = [(idx // p, idx % p)
+                  for idx in _ordering_index(desk.mapping, p)]
+        return ls, [l - desk.l_min for l in ls], orders
+
+    def test_late_product(self, desk, block):
+        import cmbproj.engine3d as e3
+        ls, ii, orders = block
+        y = np.zeros((1, desk.mapping.n_max, len(ls[0])))
+        e3._symmetrised(y, desk.tables.q[:, None], np.ones((1, 1)), *ii,
+                        orders)
+        expect = [[cp.late_product_y(*map(int, lt), n, desk.tables,
+                                     desk.mapping) for lt in zip(*ls)]
+                  for n in range(desk.mapping.n_max)]
+        assert np.array_equal(y[0], expect)
+
+    def test_primordial_product(self, desk, block):
+        import cmbproj.engine3d as e3
+        ls, ii, orders = block
+        t, r = desk.tables, desk.grid.r
+        w = (cp.integration_weights(r, "trap") * r**2)[None]
+        x = np.zeros((1, desk.mapping.n_max, len(ls[0])))
+        s = e3._slab_points(len(ls[0]))
+        for s0 in range(0, t.n_radial, s):
+            e3._symmetrised(x, t.q_tilde[:, s0:s0 + s], w[:, s0:s0 + s],
+                            *ii, orders)
+        expect = [[cp.radial_integral_x(*map(int, lt), n, t, desk.mapping,
+                                        desk.grid, "trap")
+                   for lt in zip(*ls)]
+                  for n in range(desk.mapping.n_max)]
+        np.testing.assert_allclose(x[0], expect, rtol=1e-13, atol=0)
+
+
 class TestBlockedVsNaive:
     def test_default_block(self, desk, naive):
         blocked = cp.gamma3d_matrix(desk.tables, desk.mapping, desk.grid)

@@ -63,6 +63,20 @@ def test_only_gamma_reads_the_memory_budget():
     assert readers == {"gamma.py"}
 
 
+def test_one_home_for_the_symmetrised_product():
+    # both factors of the direct sweep are summed over the orderings by
+    # one routine
+    tree = ast.parse((ROOT / "src" / "cmbproj" / "engine3d.py")
+                     .read_text(encoding="utf-8"))
+    loops = [fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             and any(isinstance(node, (ast.For, ast.comprehension))
+                     and isinstance(node.iter, ast.Name)
+                     and node.iter.id == "orders"
+                     for node in ast.walk(fn))]
+    assert loops == ["_symmetrised"]
+
+
 BUDGET = re.compile(r"_check_\w+_budget|_block_bytes")
 
 
